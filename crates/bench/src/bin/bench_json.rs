@@ -1,560 +1,205 @@
-//! Emit a machine-readable benchmark report (`BENCH_7.json` by default).
+//! Run the benchmark sections, write every row to `BENCH.json`, and gate
+//! the run against a baseline.
 //!
-//! Runs the kernel sweep (E11), measures collective latencies on a
-//! 3-cube, runs the space-sharing scheduler batch under both queue
-//! policies, times the metrics hot path, probes checkpoint I/O (snapshot
-//! seconds vs dim, full vs delta bytes), maps the open-arrival service
-//! capacity envelope (wait / slowdown / jobs-per-sec vs offered load at
-//! each fleet dimension, including a million-job dim-10 stream and a
-//! kernel-mix run on a live machine), probes simulator throughput at
-//! a set of cube dimensions, and writes everything as JSON.
-//! With `--baseline <path>` the run fails (exit 2) if any kernel's
-//! MFLOPS dropped more than 20% below the baseline file's figure — the
-//! simulator is deterministic, so in practice any drop is a real
-//! modelling change, and the 20% headroom only forgives intentional
-//! fidelity adjustments that should come with a baseline refresh.
-//! With `--scale-baseline <path>` it also fails (exit 2) if any scale
-//! row's events/sec fell more than 20% below the baseline's — that gate
-//! compares host wall-clock throughput, so it forgives hardware noise up
-//! to 20% but catches a hot-loop regression.
-//!
-//! The kernel gate is joined by a checkpoint gate: snapshot seconds are
-//! simulated time, so any row that *slowed* more than 20% vs the
-//! baseline fails the run, and a small-memory snapshot that is not flat
-//! within 10% across dims 4..=10 fails unconditionally (the §III
-//! configuration-independence claim).
-//!
-//! The service gate mirrors the scale gate: with `--service-baseline`
-//! any `(dim, workload, load)` row whose sustained jobs/sec fell more
-//! than 20% below the baseline's fails the run — but service jobs/sec is
-//! *simulated* throughput, so like the kernel gate any drop is a real
-//! scheduling change, not host noise.
+//! Each section runs one fixed configuration (see `run_section`) and
+//! returns rows ([`ts_bench::Row`]). With `--baseline PATH` the run fails
+//! (exit 2) when the gate finds a difference: sim rows must match exactly,
+//! ratio rows may drop at most 20%, host rows are informational. A baseline
+//! that cannot be parsed, or lacks rows for a section that ran, fails too.
+//! The in-run invariants (flat snapshot time, zero fault-free transport
+//! counters, a counter handle no slower than the legacy map) fail the run
+//! with or without a baseline.
 //!
 //! ```text
-//! cargo run -p ts-bench                          # writes BENCH_7.json
-//! cargo run -p ts-bench -- --out BENCH_ci.json --baseline BENCH_baseline.json
-//! cargo run -p ts-bench -- --trace overlap.json  # also dump a Perfetto trace
-//! cargo run -p ts-bench -- --scale-only --scale-dims 10,12 \
-//!     --scale-out SCALE_ci.json --scale-baseline BENCH_5.json
-//! cargo run -p ts-bench -- --service-only --service-dims 8 --service-jobs 100000 \
-//!     --service-out SERVICE_ci.json --service-baseline BENCH_7.json
+//! cargo run --release -p ts-bench                      # every section -> BENCH.json
+//! cargo run --release -p ts-bench --bin bench_json -- \
+//!     --sections kernels,collectives,sched,counter,checkpoint,service,scale \
+//!     --baseline BENCH.json --out BENCH_ci.json --trace .
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use t_series_core::parallel::ShardRound;
 use t_series_core::{Machine, MachineCfg};
 use ts_bench::report::{
-    annotate_parallel_speedup, annotate_scale_pre, checkpoint_full_rate_row, checkpoint_probe,
-    checkpoint_regressions, collective_probe, counter_microbench, kernel_rows, parallel_probe,
-    parallel_regressions, parallel_to_json, parallel_trace_json, regressions, scale_probe,
-    scale_regressions, scale_to_json, sched_probe, service_capacity_row, service_machine_row,
-    service_probe, service_regressions, service_to_json, ParallelRow, ScaleRow, ServiceRow,
+    checkpoint_probe, collective_probe, counter_probe, gate, invariants, parallel_probe, parse,
+    scale_probe, sched_probe, service_probe, to_json,
 };
-use ts_bench::BenchReport;
+use ts_bench::Row;
+use ts_sim::Time;
+
+/// Every section, in the order a run without `--sections` takes them.
+const ALL: &str = "kernels,collectives,sched,counter,checkpoint,service,scale,parallel";
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_json [--out PATH] [--baseline PATH] [--trace PATH]\n\
-         \x20                 [--scale-dims LIST] [--scale-only] [--scale-out PATH]\n\
-         \x20                 [--scale-baseline PATH] [--scale-pre PATH]\n\
-         \x20                 [--service-dims LIST] [--service-jobs N] [--service-only]\n\
-         \x20                 [--service-out PATH] [--service-baseline PATH]\n\
-         \x20                 [--parallel-dims LIST] [--parallel-shards LIST]\n\
-         \x20                 [--parallel-only] [--parallel-out PATH]\n\
-         \x20                 [--parallel-baseline PATH] [--parallel-trace PATH]\n\
+        "usage: bench_json [--sections LIST] [--out PATH] [--baseline PATH] [--trace DIR]\n\
          \n\
-         --out PATH            where to write the JSON report (default BENCH_7.json)\n\
-         --baseline PATH       fail (exit 2) if any kernel regresses >20% vs this\n\
-         \x20                     report, any checkpoint row slows >20%, or any\n\
-         \x20                     service row loses >20% jobs/sec\n\
-         --trace PATH          also write a Perfetto trace of a small traced matmul run\n\
-         --scale-dims LIST     comma-separated cube dims to probe (default 6,8;\n\
-         \x20                     even dims run allreduce+matmul+fft, dims > 10 and\n\
-         \x20                     odd dims run the allreduce smoke only)\n\
-         --scale-only          run only the scale probe (skip everything else)\n\
-         --scale-out PATH      also write the scale section as a standalone JSON doc\n\
-         --scale-baseline PATH fail (exit 2) on >20% events/sec drop vs this report\n\
-         --scale-pre PATH      annotate rows with speedup vs this reference scale doc\n\
-         --service-dims LIST   fleet dims for the capacity envelope (default 6,8;\n\
-         \x20                     each dim sweeps offered loads 0.5/0.8/0.95)\n\
-         --service-jobs N      arrivals per capacity probe point (default 100000)\n\
-         --service-only        run only the service probe (skip everything else;\n\
-         \x20                     also skips the 1M-job and kernel-mix rows)\n\
-         --service-out PATH    also write the service section as a standalone JSON doc\n\
-         --service-baseline PATH fail (exit 2) on >20% jobs/sec drop vs this report\n\
-         --parallel-dims LIST  cube dims for the parallel-backend probe (default 12;\n\
-         \x20                     dims >= 13 use the full sublink budget)\n\
-         --parallel-shards LIST shard counts per dim (default 1,2,4,8; each must\n\
-         \x20                     be a power of two with dim - log2(shards) >= 3)\n\
-         --parallel-only       run only the parallel probe (skip everything else)\n\
-         --parallel-out PATH   write the parallel section as a standalone JSON doc\n\
-         --parallel-baseline PATH fail (exit 2) on >20% events/sec drop vs the\n\
-         \x20                     matching (dim, shards) row of this report\n\
-         --parallel-trace PATH write a Perfetto trace of the lockstep rounds from\n\
-         \x20                     the largest (dim, shards) probe point"
+         --sections LIST  comma-separated sections to run (default: all of\n\
+         \x20                {})\n\
+         --out PATH       where to write the rows (default BENCH.json)\n\
+         --baseline PATH  fail (exit 2) unless every row of the sections that ran\n\
+         \x20                matches this file: sim rows exactly, ratio rows within 20%\n\
+         --trace DIR      write DIR/overlap_trace.json (a traced matmul) and, with\n\
+         \x20                the parallel section, DIR/parallel_rounds_trace.json",
+        ALL
     );
     std::process::exit(64);
 }
 
-fn print_service_rows(rows: &[ServiceRow]) {
-    for r in rows {
-        println!(
-            "  dim {:>2} ({:>4} nodes, {:<10} load {:.2})  {:>7} jobs  wait p50 {:>8.1} us p99 {:>9.1} us  {:>8.0} jobs/s  util {:>5.1}%  wall {:.2}s",
-            r.dim,
-            r.nodes,
-            r.workload,
-            r.load,
-            r.jobs,
-            r.p50_wait_us,
-            r.p99_wait_us,
-            r.jobs_per_s,
-            r.utilization * 100.0,
-            r.wall_s
-        );
-    }
-}
-
-/// Gate service rows against a baseline report; `Some(code)` on failure.
-fn service_gate(rows: &[ServiceRow], base_path: &std::path::Path) -> Option<ExitCode> {
-    let base = match std::fs::read_to_string(base_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("FAIL: cannot read baseline {}: {e}", base_path.display());
-            return Some(ExitCode::from(1));
-        }
-    };
-    let bad = service_regressions(rows, &base, 0.20);
-    if !bad.is_empty() {
-        eprintln!(
-            "FAIL: service throughput regressed vs {}:",
-            base_path.display()
-        );
-        for line in &bad {
-            eprintln!("  {line}");
-        }
-        return Some(ExitCode::from(2));
-    }
-    println!(
-        "no service row lost >20% jobs/sec vs {}",
-        base_path.display()
-    );
-    None
-}
-
-/// Run the parallel-backend probe over the (dims × shards) grid. The trace
-/// is recorded on the last grid point (the largest machine).
-fn run_parallel_grid(
-    dims: &[u32],
-    shards: &[u32],
-    want_trace: bool,
-) -> (Vec<ParallelRow>, Vec<t_series_core::parallel::ShardRound>) {
+/// Run one section's fixed configuration. The parallel section leaves the
+/// lockstep rounds of its largest run in `rounds`.
+fn run_section(name: &str, rounds: &mut Vec<ShardRound>) -> Vec<Row> {
     let mut rows = Vec::new();
-    let mut trace_rounds = Vec::new();
-    let points = dims.len() * shards.len();
-    let mut i = 0;
-    for &dim in dims {
-        for &s in shards {
-            i += 1;
-            let record = want_trace && i == points;
-            println!(
-                "parallel probe: dim {dim} ({} nodes) x {s} shard{}...",
-                1u64 << dim,
-                if s == 1 { "" } else { "s" }
-            );
-            let (row, rounds) = parallel_probe(dim, s, record);
-            println!(
-                "  run {:.2}s  sim {:.4}s  {} events  {:.0} events/s  ({} host cores)",
-                row.wall_s, row.sim_s, row.events, row.events_per_sec, row.host_cores
-            );
-            rows.push(row);
-            if record {
-                trace_rounds = rounds;
+    match name {
+        // The E11 sweep: MFLOPS against the 16 MFLOPS/node peak.
+        "kernels" => rows = ts_bench::e11_kernel_scaling(),
+        // Latencies on a 3-cube, plus that fault-free run's transport counters.
+        "collectives" => rows = collective_probe(3),
+        // The space-sharing batch under FCFS and backfill.
+        "sched" => rows = sched_probe(),
+        // The metrics hot path: registry handle vs legacy map.
+        "counter" => rows = counter_probe(5_000_000, 5),
+        // Snapshots on the 8-row probe memory at dims 4..=10, and at the
+        // paper's full memory on dim 3 (its ~15 s figure).
+        "checkpoint" => {
+            for dim in 4..=10 {
+                rows.extend(checkpoint_probe(dim, false));
             }
+            rows.extend(checkpoint_probe(3, true));
         }
-    }
-    annotate_parallel_speedup(&mut rows);
-    (rows, trace_rounds)
-}
-
-fn run_scale(dims: &[u32]) -> Vec<ScaleRow> {
-    let mut rows = Vec::new();
-    for &dim in dims {
-        // The full batch needs an even dim (Cannon); above dim 10 the
-        // matmul/FFT working set stops being a smoke test, so big cubes
-        // run the allreduce-only kernel.
-        let full = dim.is_multiple_of(2) && dim <= 10;
-        println!(
-            "scale probe: dim {dim} ({} nodes), {}...",
-            1u64 << dim,
-            if full {
-                "allreduce+matmul+fft"
-            } else {
-                "allreduce"
+        // The open-arrival envelope at dims 6 and 8, a 1M-job stream at
+        // dim 10, and a kernel mix on a live dim-4 machine.
+        "service" => {
+            for dim in [6, 8] {
+                for load in [0.5, 0.8, 0.95] {
+                    rows.extend(service_probe(dim, 100_000, load, false));
+                }
             }
-        );
-        let row = scale_probe(dim, full);
-        println!(
-            "  build {:.2}s  run {:.2}s  sim {:.4}s  {} events  {:.0} events/s  {:.1} wall-s/sim-s",
-            row.build_s, row.wall_s, row.sim_s, row.events, row.events_per_sec, row.wall_per_sim_s
-        );
-        rows.push(row);
+            rows.extend(service_probe(10, 1_000_000, 0.85, false));
+            rows.extend(service_probe(4, 4_000, 0.7, true));
+        }
+        // Simulator throughput: the dim-10 batch and the dim-12 allreduce.
+        "scale" => {
+            rows.extend(scale_probe(10, true, 9));
+            rows.extend(scale_probe(12, false, 9));
+        }
+        // The sharded executor at dims 12 and 14; the dim-14 4-shard run
+        // leaves its lockstep rounds for the trace.
+        "parallel" => {
+            rows.extend(parallel_probe(12, 7, false).0);
+            let (big, big_rounds) = parallel_probe(14, 3, true);
+            rows.extend(big);
+            *rounds = big_rounds;
+        }
+        _ => usage(),
     }
     rows
 }
 
 fn main() -> ExitCode {
-    let mut out = PathBuf::from("BENCH_7.json");
-    let mut baseline: Option<PathBuf> = None;
+    let mut sections = ALL.to_string();
+    let mut out = PathBuf::from("BENCH.json");
+    let mut baseline_path: Option<PathBuf> = None;
     let mut trace: Option<PathBuf> = None;
-    let mut scale_dims: Vec<u32> = vec![6, 8];
-    let mut scale_only = false;
-    let mut scale_out: Option<PathBuf> = None;
-    let mut scale_baseline: Option<PathBuf> = None;
-    let mut scale_pre: Option<PathBuf> = None;
-    let mut service_dims: Vec<u32> = vec![6, 8];
-    let mut service_jobs: usize = 100_000;
-    let mut service_only = false;
-    let mut service_out: Option<PathBuf> = None;
-    let mut service_baseline: Option<PathBuf> = None;
-    let mut parallel_dims: Vec<u32> = vec![12];
-    let mut parallel_shards: Vec<u32> = vec![1, 2, 4, 8];
-    let mut parallel_only = false;
-    let mut parallel_out: Option<PathBuf> = None;
-    let mut parallel_baseline: Option<PathBuf> = None;
-    let mut parallel_trace: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let value = args.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--out" => out = args.next().unwrap_or_else(|| usage()).into(),
-            "--baseline" => baseline = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--trace" => trace = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--scale-dims" => {
-                scale_dims = args
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|d| d.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--scale-only" => scale_only = true,
-            "--scale-out" => scale_out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--scale-baseline" => {
-                scale_baseline = Some(args.next().unwrap_or_else(|| usage()).into())
-            }
-            "--scale-pre" => scale_pre = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--service-dims" => {
-                service_dims = args
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|d| d.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--service-jobs" => {
-                service_jobs = args
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
-            "--service-only" => service_only = true,
-            "--service-out" => service_out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--service-baseline" => {
-                service_baseline = Some(args.next().unwrap_or_else(|| usage()).into())
-            }
-            "--parallel-dims" => {
-                parallel_dims = args
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|d| d.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--parallel-shards" => {
-                parallel_shards = args
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|d| d.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--parallel-only" => parallel_only = true,
-            "--parallel-out" => parallel_out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--parallel-baseline" => {
-                parallel_baseline = Some(args.next().unwrap_or_else(|| usage()).into())
-            }
-            "--parallel-trace" => {
-                parallel_trace = Some(args.next().unwrap_or_else(|| usage()).into())
-            }
+            "--sections" => sections = value,
+            "--out" => out = value.into(),
+            "--baseline" => baseline_path = Some(value.into()),
+            "--trace" => trace = Some(value.into()),
             _ => usage(),
         }
     }
-
-    if parallel_only {
-        println!("probing the parallel backend...");
-        let (rows, rounds) =
-            run_parallel_grid(&parallel_dims, &parallel_shards, parallel_trace.is_some());
-        if let Some(path) = &parallel_out {
-            if let Err(e) = std::fs::write(path, parallel_to_json(&rows)) {
-                eprintln!("FAIL: cannot write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("wrote {}", path.display());
-        }
-        if let Some(path) = &parallel_trace {
-            if let Err(e) = std::fs::write(path, parallel_trace_json(&rounds)) {
-                eprintln!("FAIL: cannot write trace {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!(
-                "wrote Perfetto trace {} ({} lockstep rounds)",
-                path.display(),
-                rounds.len()
-            );
-        }
-        if let Some(base_path) = &parallel_baseline {
-            let base = match std::fs::read_to_string(base_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("FAIL: cannot read baseline {}: {e}", base_path.display());
-                    return ExitCode::from(1);
-                }
-            };
-            let bad = parallel_regressions(&rows, &base, 0.20);
-            if !bad.is_empty() {
-                eprintln!(
-                    "FAIL: parallel-backend throughput regressed vs {}:",
-                    base_path.display()
-                );
-                for line in &bad {
-                    eprintln!("  {line}");
-                }
-                return ExitCode::from(2);
-            }
-            println!(
-                "no parallel row regressed >20% events/sec vs {}",
-                base_path.display()
-            );
-        }
-        return ExitCode::SUCCESS;
+    let sections: Vec<&str> = sections.split(',').map(str::trim).collect();
+    if sections.iter().any(|s| !ALL.split(',').any(|a| a == *s)) {
+        usage();
     }
 
-    if service_only {
-        println!("mapping the service capacity envelope...");
-        let rows = service_probe(&service_dims, service_jobs);
-        print_service_rows(&rows);
-        if let Some(path) = &service_out {
-            if let Err(e) = std::fs::write(path, service_to_json(&rows)) {
-                eprintln!("FAIL: cannot write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("wrote {}", path.display());
-        }
-        if let Some(base_path) = &service_baseline {
-            if let Some(code) = service_gate(&rows, base_path) {
-                return code;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    println!("probing simulator throughput...");
-    let mut scale = run_scale(&scale_dims);
-    if let Some(pre_path) = &scale_pre {
-        match std::fs::read_to_string(pre_path) {
-            Ok(pre) => annotate_scale_pre(&mut scale, &pre),
-            Err(e) => {
-                eprintln!("FAIL: cannot read --scale-pre {}: {e}", pre_path.display());
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if let Some(path) = &scale_out {
-        if let Err(e) = std::fs::write(path, scale_to_json(&scale)) {
-            eprintln!("FAIL: cannot write {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
-        println!("wrote {}", path.display());
-    }
-    if let Some(base_path) = &scale_baseline {
-        let base = match std::fs::read_to_string(base_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("FAIL: cannot read baseline {}: {e}", base_path.display());
-                return ExitCode::from(1);
-            }
-        };
-        let bad = scale_regressions(&scale, &base, 0.20);
-        if !bad.is_empty() {
-            eprintln!(
-                "FAIL: simulator throughput regressed vs {}:",
-                base_path.display()
-            );
-            for line in &bad {
-                eprintln!("  {line}");
-            }
+    // Read the baseline first, so a bad one fails before minutes of probing.
+    let read = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let baseline = match baseline_path.as_ref().map(read).transpose() {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("FAIL: baseline {e}");
             return ExitCode::from(2);
         }
-        println!(
-            "no scale row regressed >20% events/sec vs {}",
-            base_path.display()
-        );
-    }
-    if scale_only {
-        return ExitCode::SUCCESS;
-    }
-
-    let kernels = kernel_rows(&ts_bench::e11_kernel_scaling());
-    println!("\nmeasuring collective latencies on the 8-node cube...");
-    let (collectives, transport) = collective_probe(3);
-    for c in &collectives {
-        println!(
-            "  {:<10} {:>3} nodes  {:>5} calls  mean {:>8.1} us  p99 <= {:>4} us",
-            c.op, c.nodes, c.calls, c.mean_us, c.p99_us
-        );
-    }
-    println!("running the space-sharing scheduler batch...");
-    let sched = sched_probe();
-    for r in &sched {
-        println!(
-            "  {:<13} {} jobs  makespan {:>7.1} us  mean wait {:>7.1} us  util {:>5.1}%",
-            r.policy,
-            r.jobs,
-            r.makespan_us,
-            r.mean_wait_us,
-            r.utilization * 100.0
-        );
-    }
-    println!("timing the metrics hot path...");
-    let counter = counter_microbench(5_000_000);
-    println!(
-        "  registry handle {:.2} ns/op, legacy map {:.2} ns/op",
-        counter.handle_ns_per_op, counter.legacy_ns_per_op
-    );
-    if counter.handle_ns_per_op > counter.legacy_ns_per_op * 1.10 {
-        eprintln!("FAIL: pre-registered counter handle is slower than the legacy BTreeMap path");
-        return ExitCode::from(2);
-    }
-    println!(
-        "transport on the fault-free path: {} retransmits, {} CRC errors, {} escalations",
-        transport.retransmits, transport.crc_errors, transport.escalations
-    );
-    if transport.retransmits + transport.crc_errors + transport.escalations > 0 {
-        eprintln!("FAIL: reliable transport did work on a fault-free run (nonzero overhead)");
-        return ExitCode::from(2);
-    }
-
-    // Checkpoint I/O: small-memory snapshots at dims 4..=10 (the §III
-    // configuration-independence claim), plus one full-memory row — the
-    // paper's ~15 s full-machine snapshot.
-    println!("probing checkpoint I/O (dims 4..=10 small-mem, dim 3 full-mem)...");
-    let mut checkpoint = checkpoint_probe(&[4, 5, 6, 7, 8, 9, 10]);
-    checkpoint.push(checkpoint_full_rate_row(3));
-    for c in &checkpoint {
-        println!(
-            "  dim {:>2} ({:>4} nodes, {:<10}) full {:>8.3} s / {:>9} B   delta {:>7.4} s / {:>7} B",
-            c.dim, c.nodes, c.mem, c.full_snapshot_s, c.full_bytes, c.delta_snapshot_s, c.delta_bytes
-        );
-    }
-    let small: Vec<f64> = checkpoint
-        .iter()
-        .filter(|c| c.mem == "small-8row")
-        .map(|c| c.full_snapshot_s)
-        .collect();
-    let (min, max) = small.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &s| {
-        (lo.min(s), hi.max(s))
-    });
-    if max > min * 1.10 {
-        eprintln!(
-            "FAIL: snapshot time is not configuration-independent: {min:.4} s .. {max:.4} s across dims"
-        );
-        return ExitCode::from(2);
-    }
-    println!("  snapshot time flat within 10% across dims 4..=10 ({min:.4} s .. {max:.4} s)");
-
-    // Open-arrival service: the capacity envelope at each fleet dim,
-    // a million-job dim-10 stream through the same admission path, and
-    // a kernel-mix trace on a live machine.
-    println!("mapping the service capacity envelope...");
-    let mut service = service_probe(&service_dims, service_jobs);
-    println!("streaming 1M jobs through the dim-10 fleet...");
-    service.push(service_capacity_row(10, 1_000_000, 0.85));
-    println!("serving a kernel-mix stream on a live dim-4 machine...");
-    service.push(service_machine_row(4, 4_000));
-    print_service_rows(&service);
-    if let Some(path) = &service_out {
-        if let Err(e) = std::fs::write(path, service_to_json(&service)) {
-            eprintln!("FAIL: cannot write {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
-        println!("wrote {}", path.display());
-    }
-    if let Some(base_path) = &service_baseline {
-        if let Some(code) = service_gate(&service, base_path) {
-            return code;
-        }
-    }
-
-    let report = BenchReport {
-        kernels,
-        collectives,
-        sched,
-        counter,
-        transport,
-        checkpoint,
-        service,
-        scale,
     };
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
+
+    let mut rows = Vec::new();
+    let mut rounds = Vec::new();
+    for section in &sections {
+        println!("\n== {section}");
+        let got = run_section(section, &mut rounds);
+        for r in &got {
+            println!(
+                "  {:<58} {:<20} {:>18} {:<7} {}",
+                r.key,
+                r.metric,
+                r.value,
+                r.unit,
+                r.clock.name()
+            );
+        }
+        rows.extend(got);
+    }
+    if let Err(e) = std::fs::write(&out, to_json(&rows)) {
         eprintln!("FAIL: cannot write {}: {e}", out.display());
         return ExitCode::from(1);
     }
-    println!("wrote {}", out.display());
+    println!("\nwrote {} ({} rows)", out.display(), rows.len());
 
-    if let Some(path) = trace {
+    if let Some(dir) = &trace {
         let mut m = Machine::build(MachineCfg::cube(2));
         let tracer = m.enable_tracing();
         ts_kernels::matmul::distributed_matmul(&mut m, 16, 42);
-        if let Err(e) = ts_sim::write_trace(&tracer, &path) {
-            eprintln!("FAIL: cannot write trace {}: {e}", path.display());
+        let overlap = ts_sim::write_trace(&tracer, &dir.join("overlap_trace.json"));
+        let lockstep = if rounds.is_empty() {
+            Ok(())
+        } else {
+            // One track per shard, one span per lockstep round, host time.
+            let tracer = ts_sim::Tracer::new();
+            for r in &rounds {
+                let track = tracer.track(&format!("shard {}", r.shard));
+                let start = Time(r.wall_start_ns * 1000);
+                tracer.record_span(track, start, Time(r.wall_end_ns * 1000));
+                tracer.counter(track, start, "virtual_ps", r.at_ps);
+                tracer.counter(track, start, "events", r.events);
+                tracer.counter(track, start, "envelopes", r.envelopes);
+            }
+            ts_sim::write_trace(&tracer, &dir.join("parallel_rounds_trace.json"))
+        };
+        if let Err(e) = overlap.and(lockstep) {
+            eprintln!("FAIL: cannot write a trace into {}: {e}", dir.display());
             return ExitCode::from(1);
         }
-        println!("wrote Perfetto trace {}", path.display());
+        println!("wrote Perfetto traces into {}", dir.display());
     }
 
-    if let Some(base_path) = baseline {
-        let base = match std::fs::read_to_string(&base_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("FAIL: cannot read baseline {}: {e}", base_path.display());
-                return ExitCode::from(1);
-            }
-        };
-        let bad = regressions(&report.kernels, &base, 0.20);
-        if !bad.is_empty() {
-            eprintln!(
-                "FAIL: kernel throughput regressed vs {}:",
-                base_path.display()
-            );
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            return ExitCode::from(2);
+    let mut failures = invariants(&rows);
+    if let Some(base) = &baseline {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+        let verdict = gate(&rows, base, cores);
+        for line in &verdict.ungated {
+            println!("  ungated: {line}");
         }
-        println!("no kernel regressed >20% vs {}", base_path.display());
-        let slow = checkpoint_regressions(&report.checkpoint, &base, 0.20);
-        if !slow.is_empty() {
-            eprintln!("FAIL: checkpoint I/O regressed vs {}:", base_path.display());
-            for line in &slow {
-                eprintln!("  {line}");
-            }
-            return ExitCode::from(2);
+        if verdict.failures.is_empty() {
+            println!("every gated row matches the baseline");
         }
-        println!("no checkpoint row slowed >20% vs {}", base_path.display());
-        if let Some(code) = service_gate(&report.service, &base_path) {
-            return code;
-        }
+        failures.extend(verdict.failures);
     }
-    ExitCode::SUCCESS
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("FAIL:");
+    for line in &failures {
+        eprintln!("  {line}");
+    }
+    ExitCode::from(2)
 }

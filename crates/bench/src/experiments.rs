@@ -12,6 +12,7 @@ use ts_kernels::{fft, lu, matmul, sort, stencil};
 use ts_sim::Dur;
 use ts_vec::VecForm;
 
+use crate::report::{kernel_rows, Row};
 use crate::{header, row};
 
 /// E1 — §II *Control* / Figure 1: the control processor's character,
@@ -626,9 +627,9 @@ pub fn e10_comm_comp_balance() -> f64 {
     crossover
 }
 
-/// E11 — kernels across machine sizes. Returns (name, nodes, elapsed_s,
-/// mflops) tuples for the record.
-pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
+/// E11 — kernels across machine sizes. Returns the `kernels` rows of the
+/// bench report: simulated seconds, MFLOPS and efficiency per run.
+pub fn e11_kernel_scaling() -> Vec<Row> {
     header("E11: application kernels across machine sizes (§I, §III)");
     println!(
         "  {:<10} {:>6} {:>9} {:>12} {:>9} {:>12} {:>10}",
@@ -655,11 +656,11 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push((
+        out.extend(kernel_rows(
             "matmul",
             1 << dim,
-            stats.elapsed.as_secs_f64(),
-            stats.mflops,
+            &format!("n={n},seed=99,mem=full"),
+            &stats,
         ));
     }
     // FFT: N grows with the machine (weak-ish scaling).
@@ -686,7 +687,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push(("fft", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        out.extend(kernel_rows(
+            "fft",
+            1 << dim,
+            &format!("n={n},seed=3,mem=small-8row"),
+            &stats,
+        ));
     }
     // LU: fixed N = 64.
     for dim in [0u32, 2] {
@@ -704,7 +710,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push(("lu", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        out.extend(kernel_rows(
+            "lu",
+            1 << dim,
+            &format!("n={n},seed=4,mem=full"),
+            &stats,
+        ));
     }
     // Bitonic sort: keys grow with the machine.
     for dim in [0u32, 3] {
@@ -722,7 +733,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push(("sort", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        out.extend(kernel_rows(
+            "sort",
+            1 << dim,
+            &format!("n={n},seed=17,mem=small-8row"),
+            &stats,
+        ));
     }
     // Jacobi: per-node tile fixed (weak scaling).
     for dim in [0u32, 2, 4] {
@@ -747,11 +763,11 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push((
+        out.extend(kernel_rows(
             "jacobi",
             1 << dim,
-            stats.elapsed.as_secs_f64(),
-            stats.mflops,
+            &format!("tile={g},sweeps=5,seed=5,mem=small-8row"),
+            &stats,
         ));
     }
     // CG: per-node tile fixed.
@@ -772,7 +788,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if res < 1e-8 { "yes" } else { "NO" }
         );
-        out.push(("cg", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        out.extend(kernel_rows(
+            "cg",
+            1 << dim,
+            &format!("tile={g},tol=1e-10,seed=21,mem=small-8row"),
+            &stats,
+        ));
     }
     // N-body: ring pipeline, arithmetic-heavy.
     for dim in [0u32, 3] {
@@ -794,7 +815,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push(("nbody", 1 << dim, stats.elapsed.as_secs_f64(), stats.mflops));
+        out.extend(kernel_rows(
+            "nbody",
+            1 << dim,
+            &format!("bodies={nb},seed=55,mem=small-8row"),
+            &stats,
+        ));
     }
     // Sparse mat-vec: the gather-bound regime, both schedules.
     for schedule in [
@@ -806,13 +832,14 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
         let (x, y, stats) = ts_kernels::spmv::distributed_spmv(&mut m, &a, schedule, 6);
         let want = a.apply(&x);
         let ok = y.iter().zip(&want).all(|(g, w)| (g - w).abs() < 1e-10);
+        let sched = if matches!(schedule, ts_kernels::spmv::SpmvSchedule::Sequential) {
+            "seq"
+        } else {
+            "ovl"
+        };
         println!(
             "  {:<10} {:>6} {:>9} {:>12} {:>9.2} {:>12} {:>10}",
-            if matches!(schedule, ts_kernels::spmv::SpmvSchedule::Sequential) {
-                "spmv(seq)"
-            } else {
-                "spmv(ovl)"
-            },
+            format!("spmv({sched})"),
             4,
             "64, 12nz",
             format!("{}", stats.elapsed),
@@ -820,7 +847,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push(("spmv", 4, stats.elapsed.as_secs_f64(), stats.mflops));
+        out.extend(kernel_rows(
+            "spmv",
+            4,
+            &format!("schedule={sched},rows=64,nnz_per_row=12,seed=9,x_seed=6,mem=full"),
+            &stats,
+        ));
     }
     // Transpose: all-to-all personalized exchange.
     for dim in [1u32, 3] {
@@ -838,7 +870,12 @@ pub fn e11_kernel_scaling() -> Vec<(&'static str, u32, f64, f64)> {
             stats.bytes_sent,
             if ok { "yes" } else { "NO" }
         );
-        out.push(("transpose", 1 << dim, stats.elapsed.as_secs_f64(), 0.0));
+        out.extend(kernel_rows(
+            "transpose",
+            1 << dim,
+            &format!("n={n},seed=31,mem=small-8row"),
+            &stats,
+        ));
     }
     println!("  (small problems are link-bound, exactly as the 1:130 rule predicts;");
     println!("   per-node efficiency recovers as ops-per-transferred-word approach 130 — see E10)");

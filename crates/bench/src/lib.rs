@@ -16,9 +16,7 @@ pub mod sweep;
 
 pub use experiments::*;
 pub use harness::Bench;
-pub use report::{
-    BenchReport, CollectiveRow, CounterBench, KernelRow, ScaleRow, ServiceRow, TransportCounters,
-};
+pub use report::{Clock, Row};
 pub use sweep::parallel_sweep;
 
 /// Pretty-print a paper-vs-measured row.

@@ -1,240 +1,527 @@
-//! Machine-readable benchmark reports (`BENCH_<n>.json`).
+//! Machine-readable benchmark rows (`BENCH.json`) and the one gate over them.
 //!
-//! The repro binary prints human tables; CI and the paper-comparison
-//! scripts want numbers they can diff. This module renders the kernel
-//! sweep, collective latencies and the metrics-hot-path microbenchmark
-//! into a small hand-rolled JSON document (the workspace takes no
-//! external dependencies, so there is no serde here), and can compare
-//! two such documents to flag throughput regressions.
+//! Every probe returns [`Row`]s. A row is one measured value, named by its
+//! section, by a key that spells out every input that determines it, and by
+//! its metric. Its [`Clock`] says how [`gate`] compares it with a baseline:
+//! simulated values must match bit for bit, in-run host ratios may not drop
+//! more than [`RATIO_FLOOR`], raw host figures are never gated.
 //!
-//! The format is deliberately line-oriented — one object per line inside
-//! each array — so the baseline comparison can extract fields with plain
-//! string scanning instead of a full JSON parser.
+//! The document is line-oriented, one row object per line, and values are
+//! written with `{:?}`, Rust's shortest form that parses back to the same
+//! `f64`. So [`parse`] recovers every row exactly with plain string
+//! scanning (the workspace takes no external dependencies, so no serde).
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::time::Instant;
 
 use t_series_core::checkpoint::{CheckpointStore, SnapshotMode};
-use t_series_core::parallel as ts_core_parallel;
+use t_series_core::parallel::{run_parallel, ParallelCfg, ShardRound};
 use t_series_core::{collectives, Machine, MachineCfg, NODE_PEAK_MFLOPS};
 use ts_fpu::Sf64;
+use ts_kernels::KernelStats;
 use ts_node::CombineOp;
 use ts_sched::{
     JobKernel, JobSpec, Policy, Scheduler, ServiceCfg, ServiceReport, ServiceScheduler,
 };
-use ts_sim::{Dur, Metrics, MetricsRegistry};
+use ts_sim::{Dur, Metrics, MetricsRegistry, Sim};
 use ts_workload::{Dist, Trace, TraceGen};
 
-/// One kernel measurement: achieved throughput against the machine's
-/// nominal peak (`nodes × 16 MFLOPS`, the paper's §I per-node figure).
-#[derive(Debug, Clone)]
-pub struct KernelRow {
-    /// Kernel name (`matmul`, `fft`, `lu`, `sort`).
-    pub name: String,
-    /// Number of nodes in the cube the kernel ran on.
-    pub nodes: u32,
-    /// Simulated wall-clock of the run, in seconds.
-    pub elapsed_s: f64,
-    /// Aggregate achieved MFLOPS.
-    pub mflops: f64,
-    /// Nominal machine peak, `nodes × 16.0`.
-    pub peak_mflops: f64,
-    /// `mflops / peak_mflops`.
-    pub efficiency: f64,
+/// Schema tag on the first line of every document [`to_json`] writes.
+pub const SCHEMA: &str = "ts-bench/2";
+
+/// How far a [`Clock::Ratio`] row may fall below its baseline before
+/// [`gate`] fails it.
+pub const RATIO_FLOOR: f64 = 0.20;
+
+/// The clock a row was measured on, which decides how [`gate`] treats it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// Simulated time or a deterministic count: must match the baseline
+    /// bit for bit, since drift in a deterministic model is never noise.
+    Sim,
+    /// A host-time ratio measured inside one run, higher is better: fails
+    /// if it drops more than [`RATIO_FLOOR`] below the baseline.
+    Ratio,
+    /// Raw host time or throughput: recorded, never gated (it measures the
+    /// host as much as the code).
+    Host,
 }
 
-/// Latency summary for one collective operation, merged across all nodes
-/// of the measurement machine.
-#[derive(Debug, Clone)]
-pub struct CollectiveRow {
-    /// Operation name (`broadcast`, `allreduce`, `barrier`).
-    pub op: String,
-    /// Nodes participating.
-    pub nodes: u32,
-    /// Completed calls booked into the histograms.
-    pub calls: u64,
-    /// Mean latency in microseconds.
-    pub mean_us: f64,
-    /// Upper bound on the 99th-percentile latency, in microseconds.
-    pub p99_us: u64,
+impl Clock {
+    /// The name the JSON document uses: `sim`, `ratio` or `host`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Clock::Sim => "sim",
+            Clock::Ratio => "ratio",
+            Clock::Host => "host",
+        }
+    }
 }
 
-/// Wall-clock cost per event of the two metric stores: the pre-registered
-/// [`ts_sim::Counter`] handle (hot path) vs the legacy
-/// [`Metrics`]-by-`&'static str` map (cold path).
-#[derive(Debug, Clone, Copy)]
-pub struct CounterBench {
-    /// Nanoseconds per `Counter::add` on a registry handle.
-    pub handle_ns_per_op: f64,
-    /// Nanoseconds per `Metrics::add` through the BTreeMap store.
-    pub legacy_ns_per_op: f64,
+/// One measured value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Probe that produced the row (`kernels`, `scale`, ...).
+    pub section: String,
+    /// Every input that determines the value, e.g.
+    /// `dim=8,workload=synthetic,load=0.80,jobs=100000`.
+    pub key: String,
+    /// What was measured (`mflops`, `full_s`, ...).
+    pub metric: String,
+    /// The measurement.
+    pub value: f64,
+    /// Unit of `value`.
+    pub unit: String,
+    /// Clock the value was measured on.
+    pub clock: Clock,
 }
 
-/// Reliable-transport protocol counters observed on a fault-free probe
-/// run. The transport only does work when an impairment is queued, so on
-/// the healthy path every figure must be zero — recording them in the
-/// report makes "zero protocol overhead" a diffable claim, not a comment.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TransportCounters {
-    /// Flits retransmitted by go-back-N recovery.
-    pub retransmits: u64,
-    /// Flits that failed their CRC-16.
-    pub crc_errors: u64,
-    /// Links condemned by retransmit-budget exhaustion.
-    pub escalations: u64,
+impl Row {
+    /// The row's identity: rows match across runs only if all three agree.
+    fn id(&self) -> String {
+        format!("{} [{}] {}", self.section, self.key, self.metric)
+    }
 }
 
-/// One space-sharing scheduler measurement: a fixed mixed-width batch
-/// run to completion under one queue policy on a dim-2 machine.
-#[derive(Debug, Clone)]
-pub struct SchedRow {
-    /// Queue policy (`Fcfs`, `FcfsBackfill`).
-    pub policy: String,
-    /// Jobs in the batch.
-    pub jobs: u32,
-    /// Simulated time from first submit to last completion, µs.
-    pub makespan_us: f64,
-    /// Mean queue wait across the batch, µs.
-    pub mean_wait_us: f64,
-    /// Node-time fraction spent running jobs over the makespan.
-    pub utilization: f64,
-    /// Checkpoint evictions across the batch.
-    pub preemptions: u32,
-    /// Fault-driven subcube re-allocations across the batch.
-    pub reallocations: u32,
+/// The rows of one `(section, key)`: one per `(metric, value, unit, clock)`.
+fn rows(section: &str, key: &str, metrics: &[(&str, f64, &str, Clock)]) -> Vec<Row> {
+    metrics
+        .iter()
+        .map(|&(metric, value, unit, clock)| Row {
+            section: section.to_string(),
+            key: key.to_string(),
+            metric: metric.to_string(),
+            value,
+            unit: unit.to_string(),
+            clock,
+        })
+        .collect()
 }
 
-/// Simulator throughput at one cube dimension: how fast the executor
-/// chews through a fixed workload on a `2^dim`-node machine, in host
-/// wall-clock terms. This is the scaling story ([`scale_probe`]): events
-/// per host second should stay roughly flat as the machine grows, and
-/// wall-clock per simulated second is the price of one virtual second.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// Cube dimension.
-    pub dim: u32,
-    /// Node count (`2^dim`).
-    pub nodes: u64,
-    /// Workload identifier (`allreduce+matmul+fft` or `allreduce`).
-    pub workload: String,
-    /// Host seconds spent building the machine (wires, links, registry).
-    pub build_s: f64,
-    /// Host seconds spent running the workload (excludes build).
-    pub wall_s: f64,
-    /// Virtual seconds the workload simulated.
-    pub sim_s: f64,
-    /// Timer events the executor processed.
-    pub events: u64,
-    /// Executor throughput: `events / wall_s`.
-    pub events_per_sec: f64,
-    /// Host seconds per simulated second: `wall_s / sim_s`.
-    pub wall_per_sim_s: f64,
-    /// Pre-optimization events/sec from a `--scale-pre` reference run, if
-    /// one was supplied (0.0 otherwise).
-    pub pre_events_per_sec: f64,
-    /// `events_per_sec / pre_events_per_sec` (0.0 without a reference).
-    pub speedup_vs_pre: f64,
+/// Render rows as a JSON document, one row per line.
+///
+/// # Panics
+/// If a string field holds `"`, `\` or a newline (nothing is escaped), or
+/// a value is not finite (JSON has no NaN or infinity).
+pub fn to_json(rows: &[Row]) -> String {
+    let mut s = format!("{{\"schema\": \"{SCHEMA}\", \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        for field in [&r.section, &r.key, &r.metric, &r.unit] {
+            assert!(!field.contains(['"', '\\', '\n']), "unescapable {field:?}");
+        }
+        assert!(r.value.is_finite(), "{} is not JSON", r.id());
+        s.push_str(&format!(
+            "{{\"section\": \"{}\", \"key\": \"{}\", \"metric\": \"{}\", \"value\": {:?}, \
+             \"unit\": \"{}\", \"clock\": \"{}\"}}{}\n",
+            r.section,
+            r.key,
+            r.metric,
+            r.value,
+            r.unit,
+            r.clock.name(),
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("]}\n");
+    s
 }
 
-/// Parallel-backend throughput at one `(dim, shards)` point: the same
-/// allreduce workload as [`scale_probe`], run on the sharded executor.
-/// Results are bit-identical to sequential at every shard count (the
-/// digest tests pin that), so the only thing this row measures is speed —
-/// and `host_cores` records how much hardware parallelism the measurement
-/// actually had available, so a 1-core container's flat numbers read as
-/// what they are.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// Cube dimension.
-    pub dim: u32,
-    /// Node count (`2^dim`).
-    pub nodes: u64,
-    /// Shard (thread) count.
-    pub shards: u32,
-    /// Workload identifier.
-    pub workload: String,
-    /// Host seconds for the whole run, build included (shards build their
-    /// slices concurrently, so build cannot be split out as in
-    /// [`ScaleRow`]).
-    pub wall_s: f64,
-    /// Virtual seconds simulated.
-    pub sim_s: f64,
-    /// Timer events processed, summed across shards.
-    pub events: u64,
-    /// Executor throughput: `events / wall_s`.
-    pub events_per_sec: f64,
-    /// `events_per_sec` relative to the 1-shard row of the same dim
-    /// (0.0 until [`annotate_parallel_speedup`] fills it in).
-    pub speedup_vs_1shard: f64,
-    /// Host cores available to the process during the measurement.
-    pub host_cores: u32,
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What was wrong there.
+    pub reason: &'static str,
 }
 
-/// One checkpoint-I/O measurement: the simulated time a staged
-/// full-machine snapshot takes at one cube dimension, and what a
-/// one-dirty-row-per-node incremental delta streams against it. Snapshot
-/// time is the §III configuration-independence claim — every module
-/// stages its eight nodes concurrently, so the seconds must stay flat as
-/// the machine grows.
-#[derive(Debug, Clone)]
-pub struct CheckpointRow {
-    /// Cube dimension.
-    pub dim: u32,
-    /// Node count (`2^dim`).
-    pub nodes: u64,
-    /// Memory configuration (`small-8row` probe or `full` paper-rate).
-    pub mem: String,
-    /// Simulated seconds of a full checkpoint (stage + disk + commit).
-    pub full_snapshot_s: f64,
-    /// Bytes the full checkpoint streams over the system threads.
-    pub full_bytes: u64,
-    /// Simulated seconds of the follow-up delta checkpoint.
-    pub delta_snapshot_s: f64,
-    /// Bytes the delta streams (one dirty row per node).
-    pub delta_bytes: u64,
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.reason)
+    }
 }
 
-/// One open-arrival service measurement: a seeded trace streamed through
-/// the admission front-end ([`ServiceScheduler`]) at one fleet dimension
-/// and offered load. Synthetic rows run the capacity path (admission +
-/// buddy allocation only, millions of jobs); the `kernel-mix` row drives
-/// real SAXPY / all-reduce gangs through the batch runtime on a live
-/// machine. Everything except `wall_s` is simulated and deterministic.
-#[derive(Debug, Clone)]
-pub struct ServiceRow {
-    /// Fleet cube dimension.
-    pub dim: u32,
-    /// Fleet node count (`2^dim`).
-    pub nodes: u64,
-    /// Arrivals served (every one completes; admission never drops).
-    pub jobs: u64,
-    /// Workload identifier (`synthetic` or `kernel-mix`).
-    pub workload: String,
-    /// Offered load the trace was sized for (1.0 = saturation).
-    pub load: f64,
-    /// Simulated seconds from stream start to last completion.
-    pub makespan_s: f64,
-    /// Mean queue wait, µs.
-    pub mean_wait_us: f64,
-    /// Median queue wait, µs.
-    pub p50_wait_us: f64,
-    /// 99th-percentile queue wait, µs.
-    pub p99_wait_us: f64,
-    /// Mean of `(wait + service) / service` per job.
-    pub mean_slowdown: f64,
-    /// 99th-percentile slowdown.
-    pub p99_slowdown: f64,
-    /// Sustained completion rate, jobs per simulated second.
-    pub jobs_per_s: f64,
-    /// Node-time held by jobs over `makespan × fleet nodes`.
-    pub utilization: f64,
-    /// Aging promotions granted while jobs waited.
-    pub promotions: u64,
-    /// Placements where a deadline jumped the arrival order.
-    pub edf_reorders: u64,
-    /// Jobs that completed after their absolute deadline.
-    pub missed_deadlines: u64,
-    /// Host seconds the probe took (informational, never gated).
-    pub wall_s: f64,
+/// Parse a document written by [`to_json`]. Anything else, including a
+/// truncated file, is an error: a baseline that cannot be read must fail
+/// the gate, never pass it.
+pub fn parse(json: &str) -> Result<Vec<Row>, ParseError> {
+    let err = |line, reason| Err(ParseError { line, reason });
+    let header = format!("{{\"schema\": \"{SCHEMA}\", \"rows\": [\n");
+    let Some(body) = json.strip_prefix(&header) else {
+        return err(1, "expected the ts-bench/2 header");
+    };
+    let Some(body) = body.strip_suffix("]}\n") else {
+        return err(json.lines().count(), "truncated: no closing `]}` line");
+    };
+    let lines: Vec<&str> = body.lines().collect();
+    let row = |(i, line): (usize, &&str)| {
+        // Every row but the last ends with a comma.
+        let line = if i + 1 == lines.len() {
+            Some(*line)
+        } else {
+            line.strip_suffix(',')
+        };
+        line.and_then(parse_row).ok_or(ParseError {
+            line: i + 2,
+            reason: "malformed row",
+        })
+    };
+    lines.iter().enumerate().map(row).collect()
+}
+
+fn parse_row(line: &str) -> Option<Row> {
+    let body = line.strip_prefix("{\"section\": \"")?.strip_suffix("\"}")?;
+    let (section, rest) = body.split_once("\", \"key\": \"")?;
+    let (key, rest) = rest.split_once("\", \"metric\": \"")?;
+    let (metric, rest) = rest.split_once("\", \"value\": ")?;
+    let (value, rest) = rest.split_once(", \"unit\": \"")?;
+    let (unit, clock) = rest.split_once("\", \"clock\": \"")?;
+    Some(Row {
+        section: section.to_string(),
+        key: key.to_string(),
+        metric: metric.to_string(),
+        value: value.parse().ok().filter(|v: &f64| v.is_finite())?,
+        unit: unit.to_string(),
+        clock: [Clock::Sim, Clock::Ratio, Clock::Host]
+            .into_iter()
+            .find(|c| c.name() == clock)?,
+    })
+}
+
+/// What [`gate`] found.
+#[derive(Debug, Default)]
+pub struct Verdict {
+    /// Reasons the run fails; empty means it passes.
+    pub failures: Vec<String>,
+    /// Rows recorded but not gated: new in this run, or oversubscribed.
+    pub ungated: Vec<String>,
+}
+
+/// Compare a run's rows with a baseline's, section by section.
+///
+/// Only sections that ran are compared. The run fails if the baseline has
+/// no rows for such a section, if one of its rows is missing from the run,
+/// if a row changed clock, if a [`Clock::Sim`] value differs in any bit,
+/// or if a [`Clock::Ratio`] value fell more than [`RATIO_FLOOR`] below the
+/// baseline. A ratio row whose key asks for more `shards=` than
+/// `host_cores` measures oversubscription, not the code, so it is recorded
+/// but not gated. A row only in the run is listed as new when its key is
+/// new too, so adding a probe point does not fail CI; a row missing from
+/// a key the baseline has means the baseline lost it, and fails.
+/// Duplicate rows on either side fail.
+pub fn gate(current: &[Row], baseline: &[Row], host_cores: u32) -> Verdict {
+    let mut v = Verdict::default();
+    let now = index(current, "this run", &mut v.failures);
+    let base = index(baseline, "the baseline", &mut v.failures);
+    let ran: BTreeSet<&str> = current.iter().map(|r| r.section.as_str()).collect();
+    for s in &ran {
+        if !baseline.iter().any(|r| r.section == *s) {
+            v.failures.push(format!("the baseline has no `{s}` rows"));
+        }
+    }
+    for (id, b) in base
+        .iter()
+        .filter(|(_, b)| ran.contains(b.section.as_str()))
+    {
+        let Some(r) = now.get(id) else {
+            v.failures
+                .push(format!("{id}: in the baseline, missing from this run"));
+            continue;
+        };
+        let floor = b.value * (1.0 - RATIO_FLOOR);
+        match (b.clock, r.clock) {
+            (Clock::Sim, Clock::Sim) if r.value.to_bits() != b.value.to_bits() => {
+                v.failures.push(format!(
+                    "{id}: {:?} {} != baseline {:?} (sim rows must match exactly)",
+                    r.value, r.unit, b.value
+                ));
+            }
+            (Clock::Ratio, Clock::Ratio) if shards(&r.key) > host_cores => {
+                v.ungated.push(format!(
+                    "{id}: {:.3} (baseline {:.3}), not gated: {} shards > {host_cores} host cores",
+                    r.value,
+                    b.value,
+                    shards(&r.key)
+                ));
+            }
+            (Clock::Ratio, Clock::Ratio) if r.value < floor => {
+                v.failures.push(format!(
+                    "{id}: {:.3} < {floor:.3} (baseline {:.3} - {:.0}%)",
+                    r.value,
+                    b.value,
+                    RATIO_FLOOR * 100.0
+                ));
+            }
+            (was, is) if was != is => {
+                v.failures.push(format!(
+                    "{id}: clock changed from {} to {}",
+                    was.name(),
+                    is.name()
+                ));
+            }
+            _ => {}
+        }
+    }
+    for (id, r) in now.iter().filter(|(id, _)| !base.contains_key(*id)) {
+        if baseline
+            .iter()
+            .any(|b| b.section == r.section && b.key == r.key)
+        {
+            v.failures
+                .push(format!("{id}: the baseline has this key, not this row"));
+        } else {
+            v.ungated.push(format!("{id}: new, ungated"));
+        }
+    }
+    v
+}
+
+/// Rows by identity; a second row with the same identity is a failure.
+fn index<'a>(rows: &'a [Row], side: &str, failures: &mut Vec<String>) -> BTreeMap<String, &'a Row> {
+    let mut map = BTreeMap::new();
+    for r in rows {
+        if map.insert(r.id(), r).is_some() {
+            failures.push(format!("{}: duplicate row in {side}", r.id()));
+        }
+    }
+    map
+}
+
+/// The `shards=` count in a key (1 when absent).
+fn shards(key: &str) -> u32 {
+    key.split(',')
+        .find_map(|kv| kv.strip_prefix("shards=")?.parse().ok())
+        .unwrap_or(1)
+}
+
+/// The in-run invariants, checked on whatever sections ran: small-memory
+/// snapshot time flat within 10% across dims (the §III
+/// configuration-independence claim), zero transport counters on the
+/// fault-free collective probe, and the registry counter handle no slower
+/// than 1.10× the legacy map. Returns one line per violation.
+pub fn invariants(rows: &[Row]) -> Vec<String> {
+    let mut bad = Vec::new();
+    let snap: Vec<f64> = rows
+        .iter()
+        .filter(|r| r.section == "checkpoint" && r.metric == "full_s")
+        .filter(|r| r.key.contains("mem=small-8row"))
+        .map(|r| r.value)
+        .collect();
+    let (min, max) = snap.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &s| {
+        (lo.min(s), hi.max(s))
+    });
+    if max > min * 1.10 {
+        bad.push(format!(
+            "snapshot time is not configuration-independent: {min:.4} s .. {max:.4} s"
+        ));
+    }
+    for r in rows.iter().filter(|r| r.key.contains("faults=none")) {
+        if r.value != 0.0 {
+            bad.push(format!("{}: {} on a fault-free run", r.id(), r.value));
+        }
+    }
+    for r in rows.iter().filter(|r| r.metric == "legacy_over_handle") {
+        if r.value < 1.0 / 1.10 {
+            bad.push(format!(
+                "{}: the counter handle is {:.2}x slower than the legacy map",
+                r.id(),
+                1.0 / r.value
+            ));
+        }
+    }
+    bad
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Run `f` `reps` times and take the median of each of its outputs.
+fn medians<const N: usize>(reps: usize, mut f: impl FnMut() -> [f64; N]) -> [f64; N] {
+    let runs: Vec<[f64; N]> = (0..reps).map(|_| f()).collect();
+    std::array::from_fn(|i| median(runs.iter().map(|run| run[i]).collect()))
+}
+
+/// The rows of one kernel run: simulated seconds, MFLOPS, and efficiency
+/// against the machine's nominal peak (`nodes × 16 MFLOPS`, the paper's §I
+/// per-node figure). `inputs` names the problem: size, seed, memory.
+pub fn kernel_rows(kernel: &str, nodes: u32, inputs: &str, stats: &KernelStats) -> Vec<Row> {
+    use Clock::Sim;
+    let peak = nodes as f64 * NODE_PEAK_MFLOPS;
+    rows(
+        "kernels",
+        &format!("kernel={kernel},nodes={nodes},{inputs}"),
+        &[
+            ("elapsed_s", stats.elapsed.as_secs_f64(), "s", Sim),
+            ("mflops", stats.mflops, "MFLOPS", Sim),
+            ("efficiency", stats.mflops / peak, "frac", Sim),
+        ],
+    )
+}
+
+/// Run broadcast / allreduce / barrier on a full-memory `2^dim`-node cube
+/// and merge the per-op latency histograms the collectives book into the
+/// metrics registry (`node/{id}/collective/{op}_us`). The same fault-free
+/// run's reliable-transport counters follow under key `faults=none`: no
+/// impairment is ever queued, so a nonzero count means the protocol does
+/// work on the healthy path, the overhead [`invariants`] rules out.
+pub fn collective_probe(dim: u32) -> Vec<Row> {
+    use Clock::Sim;
+    let mut m = Machine::build(MachineCfg::cube(dim));
+    let cube = m.cube;
+    m.launch(move |ctx| async move {
+        let payload = (ctx.id() == 0).then(|| vec![7u32; 64]);
+        collectives::broadcast(&ctx, cube, 0, payload).await;
+        let mine = vec![Sf64::from(ctx.id() as f64)];
+        collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await;
+        collectives::barrier(&ctx, cube).await;
+    });
+    assert!(m.run().quiescent, "collective latency probe stalled");
+
+    let mut out = Vec::new();
+    for op in ["broadcast", "allreduce", "barrier"] {
+        let (mut calls, mut weighted_us, mut p99) = (0u64, 0.0f64, 0u64);
+        for id in 0..1u32 << dim {
+            let h = m
+                .registry()
+                .scope(&format!("node/{id}"))
+                .scope("collective")
+                .histogram(&format!("{op}_us"));
+            calls += h.total();
+            weighted_us += h.mean() * h.total() as f64;
+            p99 = p99.max(h.quantile_bound(0.99));
+        }
+        let mean_us = weighted_us / calls.max(1) as f64;
+        out.extend(rows(
+            "collectives",
+            &format!("op={op},dim={dim},mem=full"),
+            &[
+                ("calls", calls as f64, "count", Sim),
+                ("mean_us", mean_us, "us", Sim),
+                ("p99_us_bound", p99 as f64, "us", Sim),
+            ],
+        ));
+    }
+    let met = m.metrics();
+    let count = |k: &'static str| met.get(k) as f64;
+    out.extend(rows(
+        "collectives",
+        &format!("dim={dim},faults=none"),
+        &[
+            ("retransmits", count("link.retransmits"), "count", Sim),
+            ("crc_errors", count("link.crc_errors"), "count", Sim),
+            ("escalations", count("link.escalations"), "count", Sim),
+        ],
+    ));
+    out
+}
+
+/// Run one fixed mixed-width batch under each queue policy on a dim-2
+/// machine and summarize the schedules. The machine is deliberately too
+/// small to hold the whole batch at once, and a machine-wide job sits
+/// behind a long narrow one, so the two policies diverge: FCFS leaves
+/// the leftover subcube idle behind the stuck wide job, backfill fills
+/// it. Everything runs on simulated time, so the rows are deterministic.
+pub fn sched_probe() -> Vec<Row> {
+    use Clock::Sim;
+    let batch = || {
+        let saxpy = |phases, sweeps| JobKernel::Saxpy { phases, sweeps };
+        vec![
+            JobSpec::new("long-narrow", 1, JobKernel::AllReduce { phases: 6 }),
+            JobSpec::new("wide", 2, saxpy(2, 4)),
+            JobSpec::new("short-narrow", 1, saxpy(1, 1)),
+            JobSpec::new("solo", 0, JobKernel::AllReduce { phases: 2 }),
+        ]
+    };
+    let mut out = Vec::new();
+    for policy in [Policy::Fcfs, Policy::FcfsBackfill] {
+        let mut m = Machine::build(MachineCfg::cube_small_mem(2, 8));
+        let rep = Scheduler::new(policy).run_batch(&mut m, batch(), None);
+        out.extend(rows(
+            "sched",
+            &format!("policy={policy:?},dim=2,batch=mixed4"),
+            &[
+                ("makespan_us", rep.makespan.as_us_f64(), "us", Sim),
+                ("mean_wait_us", rep.mean_wait.as_us_f64(), "us", Sim),
+                ("utilization", rep.utilization, "frac", Sim),
+                ("preemptions", rep.preemptions as f64, "count", Sim),
+                ("reallocations", rep.reallocations as f64, "count", Sim),
+            ],
+        ));
+    }
+    out
+}
+
+/// Time increments through a pre-registered [`ts_sim::Counter`] handle and
+/// through the legacy string-keyed [`Metrics`] map, `iters` each, `reps`
+/// times. The handle is the hot path: a plain `Cell` bump, no lookup, no
+/// allocation. The gated row is the median of `legacy ns / handle ns`
+/// over the repetitions; [`invariants`] fails a handle slower than the map.
+pub fn counter_probe(iters: u64, reps: usize) -> Vec<Row> {
+    let [handle_ns, legacy_ns, ratio] = medians(reps, || {
+        let reg = MetricsRegistry::new();
+        let handle = reg.counter("bench/hotpath");
+        let t = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(&handle).add(1);
+        }
+        let h = t.elapsed().as_nanos() as f64 / iters as f64;
+        assert_eq!(reg.get_counter("bench/hotpath"), Some(iters));
+
+        let legacy = Metrics::new();
+        let t = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(&legacy).add("bench.hotpath", 1);
+        }
+        let l = t.elapsed().as_nanos() as f64 / iters as f64;
+        assert_eq!(legacy.get("bench.hotpath"), iters);
+        [h, l, l / h.max(1e-3)]
+    });
+    rows(
+        "counter",
+        &format!("iters={iters}"),
+        &[
+            ("handle_ns", handle_ns, "ns", Clock::Host),
+            ("legacy_ns", legacy_ns, "ns", Clock::Host),
+            ("legacy_over_handle", ratio, "ratio", Clock::Ratio),
+        ],
+    )
+}
+
+/// Measure checkpoint I/O on a `2^dim`-node machine: a full snapshot
+/// through the two-version store, then one word written per node and the
+/// resulting dirty-row delta. `full_mem` selects the paper's full per-node
+/// memory (the ~15 s snapshot of §III) over the 8-row probe memory.
+pub fn checkpoint_probe(dim: u32, full_mem: bool) -> Vec<Row> {
+    use Clock::Sim;
+    let (cfg, mem) = if full_mem {
+        (MachineCfg::cube(dim), "full")
+    } else {
+        (MachineCfg::cube_small_mem(dim, 8), "small-8row")
+    };
+    let mut m = Machine::build(cfg);
+    let mut store = CheckpointStore::new(m.nodes.len());
+    let full = m
+        .checkpoint(&mut store, SnapshotMode::Full)
+        .expect("full checkpoint probe");
+    for node in &m.nodes {
+        node.mem_mut().write_word(0, 0xD17).unwrap();
+    }
+    let delta = m
+        .checkpoint(&mut store, SnapshotMode::Delta)
+        .expect("delta checkpoint probe");
+    rows(
+        "checkpoint",
+        &format!("dim={dim},mem={mem}"),
+        &[
+            ("full_s", full.duration.as_secs_f64(), "s", Sim),
+            ("full_bytes", full.bytes_streamed as f64, "B", Sim),
+            ("delta_s", delta.duration.as_secs_f64(), "s", Sim),
+            ("delta_bytes", delta.bytes_streamed as f64, "B", Sim),
+        ],
+    )
 }
 
 /// Build the seeded service trace for one `(dim, load)` probe point: a
@@ -272,1245 +559,434 @@ fn service_trace(dim: u32, load: f64, n: usize, kernel_fraction: f64) -> Trace {
     g.interarrival(Dist::Exp { mean: unit / load }).generate(n)
 }
 
-/// The service admission policy every probe row runs under: 500 µs
-/// aging period, 4 levels of boost, default backfill window.
-fn service_cfg(dim: u32) -> ServiceCfg {
-    ServiceCfg::new(dim).aging(Dur::us(500), 4)
-}
-
-/// Flatten a [`ServiceReport`] into a report row.
-fn service_row(rep: &ServiceReport, workload: &str, load: f64, wall_s: f64) -> ServiceRow {
-    ServiceRow {
-        dim: rep.dim,
-        nodes: 1u64 << rep.dim,
-        jobs: rep.jobs,
-        workload: workload.to_string(),
-        load,
-        makespan_s: rep.makespan.as_secs_f64(),
-        mean_wait_us: rep.mean_wait.as_us_f64(),
-        p50_wait_us: rep.p50_wait.as_us_f64(),
-        p99_wait_us: rep.p99_wait.as_us_f64(),
-        mean_slowdown: rep.mean_slowdown,
-        p99_slowdown: rep.p99_slowdown_milli as f64 / 1e3,
-        jobs_per_s: rep.jobs_per_sec,
-        utilization: rep.utilization,
-        promotions: rep.aging_promotions,
-        edf_reorders: rep.edf_reorders,
-        missed_deadlines: rep.missed_deadlines,
-        wall_s,
-    }
-}
-
-/// One capacity-path row: `jobs` synthetic arrivals at the given offered
-/// load on a `2^dim`-node fleet, served machinelessly (admission + buddy
-/// allocation only). Deterministic in everything but `wall_s`.
-pub fn service_capacity_row(dim: u32, jobs: usize, load: f64) -> ServiceRow {
-    let trace = service_trace(dim, load, jobs, 0.0);
-    let svc = ServiceScheduler::new(service_cfg(dim));
-    let t = Instant::now();
-    let rep = svc.run(&trace);
-    service_row(&rep, "synthetic", load, t.elapsed().as_secs_f64())
-}
-
-/// The capacity envelope: one row per `(dim, offered load)` point,
-/// sweeping loads 0.5 / 0.8 / 0.95 at each probed fleet dimension with
-/// `jobs` arrivals per point. How wait and slowdown grow with load — and
-/// where sustained jobs/sec stops tracking the offered rate — is the
-/// envelope.
-pub fn service_probe(dims: &[u32], jobs: usize) -> Vec<ServiceRow> {
-    let mut rows = Vec::new();
-    for &dim in dims {
-        for &load in &[0.5, 0.8, 0.95] {
-            rows.push(service_capacity_row(dim, jobs, load));
-        }
-    }
-    rows
-}
-
-/// One fidelity-path row: a kernel-heavy trace (60% real SAXPY /
-/// all-reduce gangs) served through [`Scheduler`] on a live simulated
-/// machine at offered load 0.7. Orders of magnitude slower per job than
-/// the capacity path — keep `jobs` in the low thousands.
-pub fn service_machine_row(dim: u32, jobs: usize) -> ServiceRow {
-    let load = 0.7;
-    let trace = service_trace(dim, load, jobs, 0.6);
-    let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-    let svc = ServiceScheduler::new(service_cfg(dim));
-    let t = Instant::now();
-    let (_, rep) = svc.run_on_machine(&mut m, &trace);
-    service_row(&rep, "kernel-mix", load, t.elapsed().as_secs_f64())
-}
-
-/// Measure checkpoint I/O at each small-memory dimension: a full
-/// snapshot through the two-version store, then one word written per
-/// node and the resulting dirty-row delta.
-pub fn checkpoint_probe(dims: &[u32]) -> Vec<CheckpointRow> {
-    dims.iter()
-        .map(|&dim| checkpoint_row(dim, MachineCfg::cube_small_mem(dim, 8), "small-8row"))
-        .collect()
-}
-
-/// One checkpoint row at the paper's full per-node memory — the ~15 s
-/// snapshot figure of §III.
-pub fn checkpoint_full_rate_row(dim: u32) -> CheckpointRow {
-    checkpoint_row(dim, MachineCfg::cube(dim), "full")
-}
-
-fn checkpoint_row(dim: u32, cfg: MachineCfg, mem: &str) -> CheckpointRow {
-    let mut m = Machine::build(cfg);
-    let mut store = CheckpointStore::new(m.nodes.len());
-    let full = m
-        .checkpoint(&mut store, SnapshotMode::Full)
-        .expect("full checkpoint probe");
-    for node in &m.nodes {
-        node.mem_mut().write_word(0, 0xD17).unwrap();
-    }
-    let delta = m
-        .checkpoint(&mut store, SnapshotMode::Delta)
-        .expect("delta checkpoint probe");
-    CheckpointRow {
-        dim,
-        nodes: m.nodes.len() as u64,
-        mem: mem.to_string(),
-        full_snapshot_s: full.duration.as_secs_f64(),
-        full_bytes: full.bytes_streamed,
-        delta_snapshot_s: delta.duration.as_secs_f64(),
-        delta_bytes: delta.bytes_streamed,
-    }
-}
-
-/// A full benchmark report, renderable as JSON.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// Kernel sweep results.
-    pub kernels: Vec<KernelRow>,
-    /// Collective latency summaries.
-    pub collectives: Vec<CollectiveRow>,
-    /// Space-sharing scheduler batch, one row per policy.
-    pub sched: Vec<SchedRow>,
-    /// Hot-path counter microbenchmark.
-    pub counter: CounterBench,
-    /// Transport counters from the fault-free collective probe.
-    pub transport: TransportCounters,
-    /// Checkpoint-I/O rows, one per probed cube dimension.
-    pub checkpoint: Vec<CheckpointRow>,
-    /// Open-arrival service rows, one per `(dim, load)` probe point.
-    pub service: Vec<ServiceRow>,
-    /// Simulator-throughput rows, one per probed cube dimension.
-    pub scale: Vec<ScaleRow>,
-}
-
-/// Annotate the raw `(name, nodes, elapsed_s, mflops)` tuples from
-/// [`crate::e11_kernel_scaling`] with peak and efficiency.
-pub fn kernel_rows(raw: &[(&'static str, u32, f64, f64)]) -> Vec<KernelRow> {
-    raw.iter()
-        .map(|&(name, nodes, elapsed_s, mflops)| {
-            let peak = nodes as f64 * NODE_PEAK_MFLOPS;
-            KernelRow {
-                name: name.to_string(),
-                nodes,
-                elapsed_s,
-                mflops,
-                peak_mflops: peak,
-                efficiency: mflops / peak,
-            }
-        })
-        .collect()
-}
-
-/// Run broadcast / allreduce / barrier on a `2^dim`-node cube and read the
-/// per-op latency histograms the collectives book into the machine's
-/// metrics registry (`node/{id}/collective/{op}_us`).
-pub fn collective_latencies(dim: u32) -> Vec<CollectiveRow> {
-    collective_probe(dim).0
-}
-
-/// [`collective_latencies`], plus the reliable-transport counters the same
-/// fault-free run accumulated. No impairments are ever queued here, so a
-/// nonzero count means the protocol is doing work on the healthy path —
-/// exactly the overhead the report exists to rule out.
-pub fn collective_probe(dim: u32) -> (Vec<CollectiveRow>, TransportCounters) {
-    let mut m = Machine::build(MachineCfg::cube(dim));
-    let cube = m.cube;
-    m.launch(move |ctx| async move {
-        let payload = (ctx.id() == 0).then(|| vec![7u32; 64]);
-        collectives::broadcast(&ctx, cube, 0, payload).await;
-        let mine = vec![Sf64::from(ctx.id() as f64)];
-        collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await;
-        collectives::barrier(&ctx, cube).await;
-    });
-    assert!(m.run().quiescent, "collective latency probe stalled");
-
-    let nodes = 1u32 << dim;
-    let rows = ["broadcast", "allreduce", "barrier"]
-        .iter()
-        .map(|op| {
-            let mut calls = 0u64;
-            let mut weighted_us = 0.0f64;
-            let mut p99 = 0u64;
-            for id in 0..nodes {
-                let h = m
-                    .registry()
-                    .scope(&format!("node/{id}"))
-                    .scope("collective")
-                    .histogram(&format!("{op}_us"));
-                calls += h.total();
-                weighted_us += h.mean() * h.total() as f64;
-                p99 = p99.max(h.quantile_bound(0.99));
-            }
-            CollectiveRow {
-                op: op.to_string(),
-                nodes,
-                calls,
-                mean_us: if calls == 0 {
-                    0.0
-                } else {
-                    weighted_us / calls as f64
-                },
-                p99_us: p99,
-            }
-        })
-        .collect();
-
-    let met = m.metrics();
-    let transport = TransportCounters {
-        retransmits: met.get("link.retransmits"),
-        crc_errors: met.get("link.crc_errors"),
-        escalations: met.get("link.escalations"),
-    };
-    (rows, transport)
-}
-
-/// Run one fixed mixed-width batch under each queue policy on a dim-2
-/// machine and summarize the schedules. The machine is deliberately too
-/// small to hold the whole batch at once, and a machine-wide job sits
-/// behind a long narrow one, so the two policies diverge: FCFS leaves
-/// the leftover subcube idle behind the stuck wide job, backfill fills
-/// it. Everything runs on simulated time, so the rows are deterministic.
-pub fn sched_probe() -> Vec<SchedRow> {
-    let batch = || {
-        vec![
-            JobSpec::new("long-narrow", 1, JobKernel::AllReduce { phases: 6 }),
-            JobSpec::new(
-                "wide",
-                2,
-                JobKernel::Saxpy {
-                    phases: 2,
-                    sweeps: 4,
-                },
-            ),
-            JobSpec::new(
-                "short-narrow",
-                1,
-                JobKernel::Saxpy {
-                    phases: 1,
-                    sweeps: 1,
-                },
-            ),
-            JobSpec::new("solo", 0, JobKernel::AllReduce { phases: 2 }),
-        ]
-    };
-    [Policy::Fcfs, Policy::FcfsBackfill]
-        .iter()
-        .map(|&policy| {
-            let mut m = Machine::build(MachineCfg::cube_small_mem(2, 8));
-            let rep = Scheduler::new(policy).run_batch(&mut m, batch(), None);
-            SchedRow {
-                policy: format!("{policy:?}"),
-                jobs: rep.jobs.len() as u32,
-                makespan_us: rep.makespan.as_us_f64(),
-                mean_wait_us: rep.mean_wait.as_us_f64(),
-                utilization: rep.utilization,
-                preemptions: rep.preemptions,
-                reallocations: rep.reallocations,
-            }
-        })
-        .collect()
-}
-
-/// Measure simulator throughput on a `2^dim`-node machine.
+/// One open-arrival service measurement: a seeded trace of `jobs`
+/// arrivals at offered load `load` streamed through the admission
+/// front-end ([`ServiceScheduler`]) on a `2^dim`-node fleet, under a
+/// 500 µs aging period with 4 levels of boost.
 ///
-/// The workload is the scale batch the ROADMAP asks for: a machine-wide
-/// all-reduce, and — when `full_batch` is set (needs an even `dim`) — a
-/// Cannon matmul sized two blocks per torus side plus a distributed FFT
-/// of two points per node, all on one machine so the events and
-/// simulated time accumulate across phases. Build time is measured
-/// separately from run time: at large dims the wiring cost is real but
-/// says nothing about executor throughput.
-pub fn scale_probe(dim: u32, full_batch: bool) -> ScaleRow {
+/// With `kernel_mix` off this is the capacity path (admission + buddy
+/// allocation only, millions of jobs). With it on, 60% of the jobs are
+/// real SAXPY / all-reduce gangs served through [`Scheduler`] on a live
+/// machine: orders of magnitude slower per job, so keep `jobs` in the low
+/// thousands. Everything except `wall_s` is simulated and deterministic.
+pub fn service_probe(dim: u32, jobs: usize, load: f64, kernel_mix: bool) -> Vec<Row> {
+    use Clock::Sim;
+    let (workload, fraction) = if kernel_mix {
+        ("kernel-mix", 0.6)
+    } else {
+        ("synthetic", 0.0)
+    };
+    let trace = service_trace(dim, load, jobs, fraction);
+    let svc = ServiceScheduler::new(ServiceCfg::new(dim).aging(Dur::us(500), 4));
+    let mut machine = kernel_mix.then(|| Machine::build(MachineCfg::cube_small_mem(dim, 8)));
+    let t = Instant::now();
+    let rep: ServiceReport = match &mut machine {
+        Some(m) => svc.run_on_machine(m, &trace).1,
+        None => svc.run(&trace),
+    };
+    let wall_s = t.elapsed().as_secs_f64();
+    rows(
+        "service",
+        &format!("dim={dim},workload={workload},load={load:.2},jobs={jobs}"),
+        &[
+            ("makespan_s", rep.makespan.as_secs_f64(), "s", Sim),
+            ("mean_wait_us", rep.mean_wait.as_us_f64(), "us", Sim),
+            ("p50_wait_us", rep.p50_wait.as_us_f64(), "us", Sim),
+            ("p99_wait_us", rep.p99_wait.as_us_f64(), "us", Sim),
+            ("mean_slowdown", rep.mean_slowdown, "ratio", Sim),
+            (
+                "p99_slowdown",
+                rep.p99_slowdown_milli as f64 / 1e3,
+                "ratio",
+                Sim,
+            ),
+            ("jobs_per_s", rep.jobs_per_sec, "jobs/s", Sim),
+            ("utilization", rep.utilization, "frac", Sim),
+            ("promotions", rep.aging_promotions as f64, "count", Sim),
+            ("edf_reorders", rep.edf_reorders as f64, "count", Sim),
+            (
+                "missed_deadlines",
+                rep.missed_deadlines as f64,
+                "count",
+                Sim,
+            ),
+            ("wall_s", wall_s, "s", Clock::Host),
+        ],
+    )
+}
+
+/// Events per host second of the bare executor: 64 tasks × 10,000 sleeps,
+/// no channels, links or machine. The scale ratios divide by this, so they
+/// measure the code above the executor, not the host's clock speed.
+pub fn executor_ev_per_s() -> f64 {
+    let mut sim = Sim::new();
+    for i in 0..64u64 {
+        let h = sim.handle();
+        sim.spawn(async move {
+            for _ in 0..10_000u32 {
+                h.sleep(Dur::ns(10 + i)).await;
+            }
+        });
+    }
+    let t = Instant::now();
+    assert!(sim.run().quiescent);
+    (64 * 10_000) as f64 / t.elapsed().as_secs_f64()
+}
+
+/// The allreduce every scale and parallel probe runs: four values per
+/// node, summed machine-wide.
+fn allreduce_values(id: u32) -> Vec<Sf64> {
+    vec![
+        Sf64::from(id as f64),
+        Sf64::from(1.0 / (1.0 + id as f64)),
+        Sf64::from((id % 17) as f64 * 0.5),
+        Sf64::from(1.0),
+    ]
+}
+
+/// Measure simulator throughput on a `2^dim`-node small-memory machine.
+///
+/// The workload is a machine-wide all-reduce, and with `full_batch` (needs
+/// an even `dim`) a Cannon matmul sized two blocks per torus side plus a
+/// distributed FFT of two points per node, all on one machine. Build time
+/// is measured apart from run time. Each of `reps` repetitions also times
+/// [`executor_ev_per_s`] just before and just after the run; the gated row
+/// is the median of the per-rep `ev_per_s / executor_ev_per_s` (the mean
+/// of the two), and the host rows are medians too.
+pub fn scale_probe(dim: u32, full_batch: bool, reps: usize) -> Vec<Row> {
     assert!(
         !full_batch || dim.is_multiple_of(2),
         "the full scale batch includes Cannon matmul, which needs an even dim"
     );
-    let t0 = Instant::now();
-    let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
-    let build_s = t0.elapsed().as_secs_f64();
-    let cube = m.cube;
-    let t1 = Instant::now();
-    let handles = m.launch(move |ctx| async move {
-        let id = ctx.id();
-        let mine = vec![
-            Sf64::from(id as f64),
-            Sf64::from(1.0 / (1.0 + id as f64)),
-            Sf64::from((id % 17) as f64 * 0.5),
-            Sf64::from(1.0),
-        ];
-        collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await
+    let mut sim = (0.0, 0);
+    let [build_s, wall_s, ev_per_s, base, ratio] = medians(reps, || {
+        let t0 = Instant::now();
+        let mut m = Machine::build(MachineCfg::cube_small_mem(dim, 8));
+        let build_s = t0.elapsed().as_secs_f64();
+        let cube = m.cube;
+        let before = executor_ev_per_s();
+        let t1 = Instant::now();
+        let handles = m.launch(move |ctx| async move {
+            collectives::allreduce(&ctx, cube, CombineOp::Add, allreduce_values(ctx.id())).await
+        });
+        assert!(m.run().quiescent, "scale allreduce stalled at dim {dim}");
+        for h in handles {
+            h.try_take().expect("allreduce result missing");
+        }
+        if full_batch {
+            let side = 1usize << (dim / 2);
+            ts_kernels::matmul::distributed_matmul(&mut m, 2 * side, 42);
+            let input: Vec<(f64, f64)> = (0..2 * cube.nodes() as usize)
+                .map(|i| (i as f64 * 0.25, -(i as f64) * 0.125))
+                .collect();
+            ts_kernels::fft::distributed_fft(&mut m, &input);
+        }
+        let wall_s = t1.elapsed().as_secs_f64();
+        let base = (before + executor_ev_per_s()) / 2.0;
+        let events = m.profile().timer_events;
+        sim = (m.now().as_secs_f64(), events);
+        let ev_per_s = events as f64 / wall_s.max(1e-9);
+        [build_s, wall_s, ev_per_s, base, ev_per_s / base]
     });
-    assert!(m.run().quiescent, "scale allreduce stalled at dim {dim}");
-    for h in handles {
-        h.try_take().expect("allreduce result missing");
-    }
+    let (sim_s, events) = sim;
     let workload = if full_batch {
-        let side = 1usize << (dim / 2);
-        ts_kernels::matmul::distributed_matmul(&mut m, 2 * side, 42);
-        let p = cube.nodes() as usize;
-        let input: Vec<(f64, f64)> = (0..2 * p)
-            .map(|i| (i as f64 * 0.25, -(i as f64) * 0.125))
-            .collect();
-        ts_kernels::fft::distributed_fft(&mut m, &input);
         "allreduce+matmul+fft"
     } else {
         "allreduce"
     };
-    let wall_s = t1.elapsed().as_secs_f64();
-    let prof = m.profile();
-    let sim_s = m.now().as_secs_f64();
-    ScaleRow {
-        dim,
-        nodes: cube.nodes() as u64,
-        workload: workload.to_string(),
-        build_s,
-        wall_s,
-        sim_s,
-        events: prof.timer_events,
-        events_per_sec: prof.timer_events as f64 / wall_s.max(1e-9),
-        wall_per_sim_s: wall_s / sim_s.max(1e-12),
-        pre_events_per_sec: 0.0,
-        speedup_vs_pre: 0.0,
-    }
+    rows(
+        "scale",
+        &format!("dim={dim},workload={workload},mem=small-8row"),
+        &[
+            ("sim_s", sim_s, "s", Clock::Sim),
+            ("events", events as f64, "count", Clock::Sim),
+            ("build_s", build_s, "s", Clock::Host),
+            ("wall_s", wall_s, "s", Clock::Host),
+            ("ev_per_s", ev_per_s, "ev/s", Clock::Host),
+            ("executor_ev_per_s", base, "ev/s", Clock::Host),
+            ("ev_per_s_vs_executor", ratio, "ratio", Clock::Ratio),
+        ],
+    )
 }
 
-/// The parallel-backend scaling probe: the [`scale_probe`] allreduce at
-/// one `(dim, shards)` point. Dims 13 and up need the full sublink budget
-/// ([`MachineCfg::cube_max`]); below that the standard small-memory cube
-/// keeps the rows comparable with the sequential scale section. Returns
-/// the row plus the recorded lockstep rounds (for the Perfetto trace).
-pub fn parallel_probe(
-    dim: u32,
-    shards: u32,
-    record_rounds: bool,
-) -> (ParallelRow, Vec<ts_core_parallel::ShardRound>) {
-    let cfg = if dim >= 13 {
-        MachineCfg::cube_max(dim)
-    } else {
-        MachineCfg::cube_small_mem(dim, 8)
-    };
-    let mut pcfg = ts_core_parallel::ParallelCfg::new(shards);
-    pcfg.record_rounds = record_rounds;
+/// The parallel-backend probe: the scale allreduce on the sharded executor
+/// at 1, 2 and 4 shards, `reps` times. Dims 13 and up need the full
+/// sublink budget ([`MachineCfg::cube_max`]). Wall time covers the whole
+/// run, build included, since shards build their slices concurrently. The
+/// gated rows are the median per-rep speedups `1-shard wall / n-shard
+/// wall`. With `record`, also returns the lockstep rounds of the last
+/// 4-shard run (for the Perfetto trace).
+pub fn parallel_probe(dim: u32, reps: usize, record: bool) -> (Vec<Row>, Vec<ShardRound>) {
+    const SHARDS: [u32; 3] = [1, 2, 4];
     let cube = t_series_core::Hypercube::new(dim);
-    let t0 = Instant::now();
-    let run = ts_core_parallel::run_parallel(cfg, &pcfg, move |ctx| async move {
-        let id = ctx.id();
-        let mine = vec![
-            Sf64::from(id as f64),
-            Sf64::from(1.0 / (1.0 + id as f64)),
-            Sf64::from((id % 17) as f64 * 0.5),
-            Sf64::from(1.0),
-        ];
-        collectives::allreduce(&ctx, cube, CombineOp::Add, mine).await
+    let mut sims = [(0.0, 0); 3];
+    let (mut rounds, mut rep) = (Vec::new(), 0);
+    let [w1, w2, w4, s2, s4] = medians(reps, || {
+        rep += 1;
+        let mut walls = [0.0; 3];
+        for (i, shards) in SHARDS.into_iter().enumerate() {
+            let cfg = if dim >= 13 {
+                MachineCfg::cube_max(dim)
+            } else {
+                MachineCfg::cube_small_mem(dim, 8)
+            };
+            let mut pcfg = ParallelCfg::new(shards);
+            pcfg.record_rounds = record && rep == reps && shards == 4;
+            let t = Instant::now();
+            let run = run_parallel(cfg, &pcfg, move |ctx| async move {
+                collectives::allreduce(&ctx, cube, CombineOp::Add, allreduce_values(ctx.id())).await
+            });
+            walls[i] = t.elapsed().as_secs_f64();
+            assert!(run.quiescent, "parallel allreduce stalled at dim {dim}");
+            assert!(run.results.iter().all(Option::is_some), "result missing");
+            sims[i] = (run.final_time.as_secs_f64(), run.events);
+            if pcfg.record_rounds {
+                rounds = run.rounds;
+            }
+        }
+        let [t1, t2, t4] = walls;
+        [t1, t2, t4, t1 / t2, t1 / t4]
     });
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert!(
-        run.quiescent,
-        "parallel allreduce stalled at dim {dim}, {shards} shards"
-    );
-    for r in &run.results {
-        assert!(r.is_some(), "allreduce result missing");
-    }
-    let row = ParallelRow {
-        dim,
-        nodes: cube.nodes() as u64,
-        shards,
-        workload: "allreduce".to_string(),
-        wall_s,
-        sim_s: run.final_time.as_secs_f64(),
-        events: run.events,
-        events_per_sec: run.events as f64 / wall_s.max(1e-9),
-        speedup_vs_1shard: 0.0,
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1),
-    };
-    (row, run.rounds)
-}
-
-/// Fill each row's `speedup_vs_1shard` from the 1-shard row of the same
-/// `(dim, workload)` in the slice, when present.
-pub fn annotate_parallel_speedup(rows: &mut [ParallelRow]) {
-    let ones: Vec<(u32, String, f64)> = rows
-        .iter()
-        .filter(|r| r.shards == 1)
-        .map(|r| (r.dim, r.workload.clone(), r.events_per_sec))
-        .collect();
-    for r in rows {
-        if let Some((_, _, one)) = ones
-            .iter()
-            .find(|(d, w, _)| *d == r.dim && *w == r.workload)
-        {
-            r.speedup_vs_1shard = if *one > 0.0 {
-                r.events_per_sec / one
-            } else {
-                0.0
-            };
-        }
-    }
-}
-
-/// Time `iters` increments through a pre-registered [`ts_sim::Counter`]
-/// handle and through the legacy string-keyed [`Metrics`] map. The handle
-/// is the hot path: a plain `Cell` bump, no lookup, no allocation. A
-/// result where the handle is slower than the map means the registry
-/// redesign regressed the hot path.
-pub fn counter_microbench(iters: u64) -> CounterBench {
-    let reg = MetricsRegistry::new();
-    let handle = reg.counter("bench/hotpath");
-    let t = Instant::now();
-    for _ in 0..iters {
-        handle.add(1);
-    }
-    let handle_ns = t.elapsed().as_nanos() as f64 / iters as f64;
-    // Keep the counter observable so the loop cannot be discarded.
-    assert_eq!(reg.get_counter("bench/hotpath"), Some(iters));
-
-    let legacy = Metrics::new();
-    let t = Instant::now();
-    for _ in 0..iters {
-        legacy.add("bench.hotpath", 1);
-    }
-    let legacy_ns = t.elapsed().as_nanos() as f64 / iters as f64;
-    assert_eq!(legacy.get("bench.hotpath"), iters);
-
-    CounterBench {
-        handle_ns_per_op: handle_ns,
-        legacy_ns_per_op: legacy_ns,
-    }
-}
-
-impl BenchReport {
-    /// Render the report as JSON. One object per line inside each array,
-    /// so field extraction in [`parse_kernels`] stays trivial.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"ts-bench/1\",\n  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"nodes\": {}, \"elapsed_s\": {:.9}, \
-                 \"mflops\": {:.6}, \"peak_mflops\": {:.1}, \"efficiency\": {:.6}}}{}\n",
-                k.name,
-                k.nodes,
-                k.elapsed_s,
-                k.mflops,
-                k.peak_mflops,
-                k.efficiency,
-                if i + 1 < self.kernels.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"collectives\": [\n");
-        for (i, c) in self.collectives.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"op\": \"{}\", \"nodes\": {}, \"calls\": {}, \
-                 \"mean_us\": {:.3}, \"p99_us_bound\": {}}}{}\n",
-                c.op,
-                c.nodes,
-                c.calls,
-                c.mean_us,
-                c.p99_us,
-                if i + 1 < self.collectives.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n  \"scheduler\": [\n");
-        for (i, r) in self.sched.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"jobs\": {}, \"makespan_us\": {:.3}, \
-                 \"mean_wait_us\": {:.3}, \"utilization\": {:.6}, \
-                 \"preemptions\": {}, \"reallocations\": {}}}{}\n",
-                r.policy,
-                r.jobs,
-                r.makespan_us,
-                r.mean_wait_us,
-                r.utilization,
-                r.preemptions,
-                r.reallocations,
-                if i + 1 < self.sched.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"counter_microbench\": {{\"handle_ns_per_op\": {:.3}, \
-             \"legacy_btreemap_ns_per_op\": {:.3}}},\n",
-            self.counter.handle_ns_per_op, self.counter.legacy_ns_per_op
-        ));
-        s.push_str(&format!(
-            "  \"transport_fault_free\": {{\"retransmits\": {}, \"crc_errors\": {}, \
-             \"escalations\": {}}},\n",
-            self.transport.retransmits, self.transport.crc_errors, self.transport.escalations
-        ));
-        s.push_str("  \"checkpoint\": [\n");
-        for (i, c) in self.checkpoint.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"dim\": {}, \"nodes\": {}, \"mem\": \"{}\", \
-                 \"full_snapshot_s\": {:.6}, \"full_bytes\": {}, \
-                 \"delta_snapshot_s\": {:.6}, \"delta_bytes\": {}}}{}\n",
-                c.dim,
-                c.nodes,
-                c.mem,
-                c.full_snapshot_s,
-                c.full_bytes,
-                c.delta_snapshot_s,
-                c.delta_bytes,
-                if i + 1 < self.checkpoint.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&service_json_array(&self.service));
-        s.push_str(&scale_json_array(&self.scale));
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// Render service rows as a `"service": [...]` JSON fragment (shared by
-/// the full report and the standalone `--service-only` document).
-fn service_json_array(rows: &[ServiceRow]) -> String {
-    let mut s = String::from("  \"service\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dim\": {}, \"nodes\": {}, \"jobs\": {}, \"workload\": \"{}\", \
-             \"load\": {:.2}, \"makespan_s\": {:.6}, \"mean_wait_us\": {:.3}, \
-             \"p50_wait_us\": {:.3}, \"p99_wait_us\": {:.3}, \
-             \"mean_slowdown\": {:.3}, \"p99_slowdown\": {:.3}, \
-             \"jobs_per_s\": {:.1}, \"utilization\": {:.6}, \
-             \"promotions\": {}, \"edf_reorders\": {}, \"missed_deadlines\": {}, \
-             \"wall_s\": {:.3}}}{}\n",
-            r.dim,
-            r.nodes,
-            r.jobs,
-            r.workload,
-            r.load,
-            r.makespan_s,
-            r.mean_wait_us,
-            r.p50_wait_us,
-            r.p99_wait_us,
-            r.mean_slowdown,
-            r.p99_slowdown,
-            r.jobs_per_s,
-            r.utilization,
-            r.promotions,
-            r.edf_reorders,
-            r.missed_deadlines,
-            r.wall_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s
-}
-
-/// Render service rows as a standalone JSON document (the
-/// `--service-out` output uploaded by the CI service-smoke lane). The
-/// fragment above ends with a comma, so close with a schema tag.
-pub fn service_to_json(rows: &[ServiceRow]) -> String {
-    format!(
-        "{{\n{}  \"schema\": \"ts-bench-service/1\"\n}}\n",
-        service_json_array(rows)
-    )
-}
-
-/// Pull `(dim, workload, load, jobs_per_s)` tuples back out of any JSON
-/// document carrying a service section ([`BenchReport::to_json`] or
-/// [`service_to_json`]). Keyed on `jobs_per_s`, which no other section
-/// emits; scans line-by-line like [`parse_kernels`].
-pub fn parse_service(json: &str) -> Vec<(u32, String, f64, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let jps = json_num(line, "jobs_per_s")?;
-            let dim = json_num(line, "dim")? as u32;
-            let workload = json_str(line, "workload")?;
-            let load = json_num(line, "load")?;
-            Some((dim, workload, load, jps))
-        })
-        .collect()
-}
-
-/// Compare service rows against a baseline JSON document: one line per
-/// `(dim, workload, load)` row whose sustained jobs/sec fell below
-/// `(1 - tolerance) ×` the baseline figure. Everything in a service row
-/// except `wall_s` is simulated and deterministic, so in practice any
-/// drop is a real scheduling change; the headroom forgives intentional
-/// policy adjustments that should come with a baseline refresh. Rows
-/// present on only one side are ignored, like [`regressions`].
-pub fn service_regressions(
-    current: &[ServiceRow],
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let base = parse_service(baseline_json);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = Vec::new();
-    for r in current {
-        if let Some((_, _, _, was)) = base
-            .iter()
-            .find(|(d, w, l, _)| *d == r.dim && *w == r.workload && (*l - r.load).abs() < 1e-6)
-        {
-            let floor = was * (1.0 - tolerance);
-            if r.jobs_per_s < floor {
-                out.push(format!(
-                    "service dim {} ({}, load {:.2}): {:.0} jobs/s < {:.0} (baseline {:.0} - {:.0}%)",
-                    r.dim,
-                    r.workload,
-                    r.load,
-                    r.jobs_per_s,
-                    floor,
-                    was,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Render scale rows as a `"scale": [...]` JSON fragment (shared by the
-/// full report and the standalone `--scale-only` document).
-fn scale_json_array(rows: &[ScaleRow]) -> String {
-    let mut s = String::from("  \"scale\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dim\": {}, \"nodes\": {}, \"workload\": \"{}\", \
-             \"build_s\": {:.3}, \"wall_s\": {:.3}, \"sim_s\": {:.6}, \
-             \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"wall_per_sim_s\": {:.3}, \"pre_events_per_sec\": {:.1}, \
-             \"speedup_vs_pre\": {:.2}}}{}\n",
-            r.dim,
-            r.nodes,
-            r.workload,
-            r.build_s,
-            r.wall_s,
-            r.sim_s,
-            r.events,
-            r.events_per_sec,
-            r.wall_per_sim_s,
-            r.pre_events_per_sec,
-            r.speedup_vs_pre,
-            if i + 1 < rows.len() { "," } else { "" }
+    for (i, (wall_s, speedup)) in [(w1, None), (w2, Some(s2)), (w4, Some(s4))]
+        .into_iter()
+        .enumerate()
+    {
+        let (sim_s, events) = sims[i];
+        let mut metrics = vec![
+            ("sim_s", sim_s, "s", Clock::Sim),
+            ("events", events as f64, "count", Clock::Sim),
+            ("wall_s", wall_s, "s", Clock::Host),
+            ("ev_per_s", events as f64 / wall_s, "ev/s", Clock::Host),
+            ("host_cores", cores as f64, "count", Clock::Host),
+        ];
+        metrics.extend(speedup.map(|x| ("speedup_vs_1shard", x, "ratio", Clock::Ratio)));
+        out.extend(rows(
+            "parallel",
+            &format!("dim={dim},shards={},workload=allreduce", SHARDS[i]),
+            &metrics,
         ));
     }
-    s.push_str("  ]\n");
-    s
-}
-
-/// Render scale rows as a standalone JSON document (the `--scale-only`
-/// output uploaded by the CI scale-smoke lane).
-pub fn scale_to_json(rows: &[ScaleRow]) -> String {
-    format!(
-        "{{\n  \"schema\": \"ts-bench-scale/1\",\n{}}}\n",
-        scale_json_array(rows)
-    )
-}
-
-/// Pull `(dim, workload, events_per_sec)` triples back out of any JSON
-/// document carrying a scale section ([`BenchReport::to_json`] or
-/// [`scale_to_json`]). Scans line-by-line like [`parse_kernels`].
-pub fn parse_scale(json: &str) -> Vec<(u32, String, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let dim = json_num(line, "dim")? as u32;
-            let workload = json_str(line, "workload")?;
-            let eps = json_num(line, "events_per_sec")?;
-            Some((dim, workload, eps))
-        })
-        .collect()
-}
-
-/// Compare scale rows against a baseline JSON document: one line per
-/// `(dim, workload)` row whose events/sec fell below
-/// `(1 - tolerance) ×` the baseline figure. Rows present on only one
-/// side are ignored, like [`regressions`].
-pub fn scale_regressions(current: &[ScaleRow], baseline_json: &str, tolerance: f64) -> Vec<String> {
-    let base = parse_scale(baseline_json);
-    let mut out = Vec::new();
-    for r in current {
-        if let Some((_, _, was)) = base
-            .iter()
-            .find(|(d, w, _)| *d == r.dim && *w == r.workload)
-        {
-            let floor = was * (1.0 - tolerance);
-            if r.events_per_sec < floor {
-                out.push(format!(
-                    "scale dim {} ({}): {:.0} events/s < {:.0} (baseline {:.0} - {:.0}%)",
-                    r.dim,
-                    r.workload,
-                    r.events_per_sec,
-                    floor,
-                    was,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Fill each row's `pre_events_per_sec`/`speedup_vs_pre` from a reference
-/// scale document (the pre-optimization measurement), matching rows on
-/// `(dim, workload)`.
-pub fn annotate_scale_pre(rows: &mut [ScaleRow], pre_json: &str) {
-    let pre = parse_scale(pre_json);
-    for r in rows {
-        if let Some((_, _, was)) = pre.iter().find(|(d, w, _)| *d == r.dim && *w == r.workload) {
-            r.pre_events_per_sec = *was;
-            r.speedup_vs_pre = if *was > 0.0 {
-                r.events_per_sec / was
-            } else {
-                0.0
-            };
-        }
-    }
-}
-
-/// Render parallel rows as a standalone JSON document (the `parallel`
-/// section of `BENCH_8.json`, and the CI scale-parallel lane's output).
-pub fn parallel_to_json(rows: &[ParallelRow]) -> String {
-    let mut s = String::from("{\n  \"schema\": \"ts-bench-parallel/1\",\n  \"parallel\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dim\": {}, \"nodes\": {}, \"shards\": {}, \
-             \"workload\": \"{}\", \"wall_s\": {:.3}, \"sim_s\": {:.6}, \
-             \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"speedup_vs_1shard\": {:.2}, \"host_cores\": {}}}{}\n",
-            r.dim,
-            r.nodes,
-            r.shards,
-            r.workload,
-            r.wall_s,
-            r.sim_s,
-            r.events,
-            r.events_per_sec,
-            r.speedup_vs_1shard,
-            r.host_cores,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Pull `(dim, shards, workload, events_per_sec)` rows back out of a JSON
-/// document carrying a parallel section. Scans line-by-line like
-/// [`parse_kernels`].
-pub fn parse_parallel(json: &str) -> Vec<(u32, u32, String, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let dim = json_num(line, "dim")? as u32;
-            let shards = json_num(line, "shards")? as u32;
-            let workload = json_str(line, "workload")?;
-            let eps = json_num(line, "events_per_sec")?;
-            Some((dim, shards, workload, eps))
-        })
-        .collect()
-}
-
-/// Compare parallel rows against a baseline document: one line per
-/// `(dim, shards, workload)` row whose events/sec fell below
-/// `(1 - tolerance) ×` the baseline figure. Rows present on only one side
-/// are ignored, like [`scale_regressions`]. The gate is one-sided: faster
-/// hosts never fail it.
-pub fn parallel_regressions(
-    current: &[ParallelRow],
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let base = parse_parallel(baseline_json);
-    let mut out = Vec::new();
-    for r in current {
-        if let Some((_, _, _, was)) = base
-            .iter()
-            .find(|(d, s, w, _)| *d == r.dim && *s == r.shards && *w == r.workload)
-        {
-            let floor = was * (1.0 - tolerance);
-            if r.events_per_sec < floor {
-                out.push(format!(
-                    "parallel dim {} x{} shards ({}): {:.0} events/s < {:.0} (baseline {:.0} - {:.0}%)",
-                    r.dim,
-                    r.shards,
-                    r.workload,
-                    r.events_per_sec,
-                    floor,
-                    was,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Render recorded lockstep rounds as a Chrome/Perfetto trace-event JSON
-/// document: one track (tid) per shard, one complete event per macro
-/// round, with the virtual instant and event/envelope counts as args.
-pub fn parallel_trace_json(rounds: &[ts_core_parallel::ShardRound]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in rounds.iter().enumerate() {
-        s.push_str(&format!(
-            "{{\"name\": \"T={}ps\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
-             \"ts\": {:.3}, \"dur\": {:.3}, \
-             \"args\": {{\"events\": {}, \"envelopes\": {}}}}}{}\n",
-            r.at_ps,
-            r.shard,
-            r.wall_start_ns as f64 / 1e3,
-            (r.wall_end_ns - r.wall_start_ns) as f64 / 1e3,
-            r.events,
-            r.envelopes,
-            if i + 1 < rounds.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("]\n");
-    s
-}
-
-/// Pull `(dim, mem, full_snapshot_s, delta_snapshot_s)` tuples back out
-/// of a report carrying a checkpoint section. Scans line-by-line like
-/// [`parse_kernels`].
-pub fn parse_checkpoint(json: &str) -> Vec<(u32, String, f64, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let dim = json_num(line, "dim")? as u32;
-            let mem = json_str(line, "mem")?;
-            let full = json_num(line, "full_snapshot_s")?;
-            let delta = json_num(line, "delta_snapshot_s")?;
-            Some((dim, mem, full, delta))
-        })
-        .collect()
-}
-
-/// Compare checkpoint rows against a baseline JSON document. Snapshot
-/// seconds are simulated time, so *higher* is worse: one line per
-/// `(dim, mem)` row whose full or delta snapshot grew past
-/// `(1 + tolerance) ×` the baseline figure. Rows present on only one
-/// side are ignored, like [`regressions`].
-pub fn checkpoint_regressions(
-    current: &[CheckpointRow],
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let base = parse_checkpoint(baseline_json);
-    let mut out = Vec::new();
-    for c in current {
-        let Some((_, _, full_was, delta_was)) =
-            base.iter().find(|(d, m, _, _)| *d == c.dim && *m == c.mem)
-        else {
-            continue;
-        };
-        for (kind, now, was) in [
-            ("full", c.full_snapshot_s, *full_was),
-            ("delta", c.delta_snapshot_s, *delta_was),
-        ] {
-            let ceiling = was * (1.0 + tolerance);
-            if now > ceiling {
-                out.push(format!(
-                    "checkpoint dim {} ({}, {kind}): {:.4} s > {:.4} s (baseline {:.4} + {:.0}%)",
-                    c.dim,
-                    c.mem,
-                    now,
-                    ceiling,
-                    was,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Pull `(name, nodes, mflops)` triples back out of a report produced by
-/// [`BenchReport::to_json`]. Scans line-by-line; returns an empty vec for
-/// malformed input (the caller treats that as "no baseline").
-pub fn parse_kernels(json: &str) -> Vec<(String, u32, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let name = json_str(line, "name")?;
-            let nodes = json_num(line, "nodes")? as u32;
-            let mflops = json_num(line, "mflops")?;
-            Some((name, nodes, mflops))
-        })
-        .collect()
-}
-
-/// Compare `current` kernels against a baseline JSON document. Returns one
-/// human-readable line per kernel whose MFLOPS fell below
-/// `(1 - tolerance) ×` the baseline figure. Kernels present on only one
-/// side are ignored — adding a kernel must not fail CI.
-pub fn regressions(current: &[KernelRow], baseline_json: &str, tolerance: f64) -> Vec<String> {
-    let base = parse_kernels(baseline_json);
-    let mut out = Vec::new();
-    for k in current {
-        if let Some((_, _, was)) = base.iter().find(|(n, p, _)| *n == k.name && *p == k.nodes) {
-            let floor = was * (1.0 - tolerance);
-            if k.mflops < floor {
-                out.push(format!(
-                    "{} on {} nodes: {:.2} MFLOPS < {:.2} (baseline {:.2} - {:.0}%)",
-                    k.name,
-                    k.nodes,
-                    k.mflops,
-                    floor,
-                    was,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Extract the string value of `"key": "..."` from a single JSON line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let tail = after_key(line, key)?;
-    let tail = tail.strip_prefix('"')?;
-    Some(tail[..tail.find('"')?].to_string())
-}
-
-/// Extract the numeric value of `"key": <number>` from a single JSON line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let tail = after_key(line, key)?;
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Position just past `"key":` (and any spaces) in `line`.
-fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(line[at..].trim_start())
+    (out, rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> BenchReport {
-        BenchReport {
-            kernels: vec![
-                KernelRow {
-                    name: "matmul".into(),
-                    nodes: 4,
-                    elapsed_s: 0.25,
-                    mflops: 40.0,
-                    peak_mflops: 64.0,
-                    efficiency: 0.625,
-                },
-                KernelRow {
-                    name: "fft".into(),
-                    nodes: 16,
-                    elapsed_s: 0.5,
-                    mflops: 100.0,
-                    peak_mflops: 256.0,
-                    efficiency: 100.0 / 256.0,
-                },
-            ],
-            collectives: vec![CollectiveRow {
-                op: "barrier".into(),
-                nodes: 8,
-                calls: 8,
-                mean_us: 12.5,
-                p99_us: 16,
-            }],
-            sched: vec![SchedRow {
-                policy: "Fcfs".into(),
-                jobs: 4,
-                makespan_us: 1200.0,
-                mean_wait_us: 300.0,
-                utilization: 0.5,
-                preemptions: 0,
-                reallocations: 0,
-            }],
-            counter: CounterBench {
-                handle_ns_per_op: 1.0,
-                legacy_ns_per_op: 20.0,
-            },
-            transport: TransportCounters::default(),
-            checkpoint: vec![CheckpointRow {
-                dim: 4,
-                nodes: 16,
-                mem: "small-8row".into(),
-                full_snapshot_s: 0.131,
-                full_bytes: 131_200,
-                delta_snapshot_s: 0.004,
-                delta_bytes: 16_640,
-            }],
-            service: vec![ServiceRow {
-                dim: 8,
-                nodes: 256,
-                jobs: 100_000,
-                workload: "synthetic".into(),
-                load: 0.8,
-                makespan_s: 1.25,
-                mean_wait_us: 40.0,
-                p50_wait_us: 10.0,
-                p99_wait_us: 450.0,
-                mean_slowdown: 1.4,
-                p99_slowdown: 6.0,
-                jobs_per_s: 80_000.0,
-                utilization: 0.79,
-                promotions: 1_200,
-                edf_reorders: 300,
-                missed_deadlines: 4,
-                wall_s: 0.2,
-            }],
-            scale: vec![ScaleRow {
-                dim: 6,
-                nodes: 64,
-                workload: "allreduce".into(),
-                build_s: 0.01,
-                wall_s: 0.5,
-                sim_s: 0.002,
-                events: 100_000,
-                events_per_sec: 200_000.0,
-                wall_per_sim_s: 250.0,
-                pre_events_per_sec: 0.0,
-                speedup_vs_pre: 0.0,
-            }],
+    /// The value of the row whose key contains `key` and whose metric is
+    /// `metric`.
+    fn value(rows: &[Row], key: &str, metric: &str) -> f64 {
+        rows.iter()
+            .find(|r| r.key.contains(key) && r.metric == metric)
+            .unwrap_or_else(|| panic!("no row [{key}] {metric}"))
+            .value
+    }
+
+    fn row(section: &str, key: &str, metric: &str, value: f64, clock: Clock) -> Row {
+        rows(section, key, &[(metric, value, "u", clock)]).remove(0)
+    }
+
+    #[test]
+    fn rows_round_trip_exactly_and_gate_by_clock() {
+        // Round trip: seeded random bit patterns plus the edge cases.
+        let mut rng = ts_sim::Rng::new(0xBE7C);
+        let mut values: Vec<f64> = (0..500)
+            .map(|_| f64::from_bits(rng.next_u64()))
+            .filter(|v| v.is_finite())
+            .collect();
+        values.extend([
+            0.0,
+            -0.0,
+            0.1,
+            5e-324,
+            2.2e-308 / 3.0,
+            1e300,
+            f64::MAX,
+            -f64::MIN_POSITIVE,
+        ]);
+        let many: Vec<Row> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| row("kernels", &format!("i={i}"), "x", v, Clock::Sim))
+            .collect();
+        let back = parse(&to_json(&many)).expect("round trip");
+        assert_eq!(back, many);
+        // `==` holds for 0.0 vs -0.0; the gate needs every bit back.
+        let bits = |rows: &[Row]| rows.iter().map(|r| r.value.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&many));
+
+        // The gate. Each case edits the run's rows or the baseline's text,
+        // then says whether the run still passes on a host with `cores`.
+        let svc = "dim=6,workload=synthetic,load=0.95,jobs=100000";
+        let base = vec![
+            row("scale", "dim=10", "sim_s", 0.010398, Clock::Sim),
+            row("scale", "dim=10", "ev_per_s_vs_executor", 0.5, Clock::Ratio),
+            row("scale", "dim=10", "ev_per_s", 1e6, Clock::Host),
+            row(
+                "parallel",
+                "dim=12,shards=4",
+                "speedup_vs_1shard",
+                1.5,
+                Clock::Ratio,
+            ),
+            row("service", svc, "jobs_per_s", 156_563.0, Clock::Sim),
+        ];
+        type Case = (&'static str, u32, bool, fn(&mut Vec<Row>, &mut String));
+        let cases: &[Case] = &[
+            ("identical", 4, true, |_, _| {}),
+            ("sim 1 ULP off", 4, false, |r, _| {
+                r[0].value = r[0].value.next_up()
+            }),
+            ("ratio 10% low", 4, true, |r, _| r[1].value *= 0.9),
+            ("ratio 30% low", 4, false, |r, _| r[1].value *= 0.7),
+            ("host row halved", 4, true, |r, _| r[2].value *= 0.5),
+            ("oversubscribed ratio 30% low", 2, true, |r, _| {
+                r[3].value *= 0.7
+            }),
+            ("fitting ratio 30% low", 4, false, |r, _| r[3].value *= 0.7),
+            ("row missing from the run", 4, false, |r, _| {
+                drop(r.remove(1))
+            }),
+            ("new row", 4, true, |r, _| {
+                r.push(Row {
+                    key: "dim=12".into(),
+                    ..r[0].clone()
+                })
+            }),
+            ("baseline lost a row", 4, false, |_, b| {
+                *b = b
+                    .lines()
+                    .filter(|l| !l.contains("\"ev_per_s\""))
+                    .map(|l| l.to_string() + "\n")
+                    .collect()
+            }),
+            ("duplicate row", 4, false, |r, _| r.push(r[0].clone())),
+            ("truncated baseline", 4, false, |_, b| {
+                b.truncate(b.len() - 30)
+            }),
+            ("baseline cut at a line end", 4, false, |_, b| {
+                *b = b.replace("]}\n", "")
+            }),
+            ("malformed value", 4, false, |_, b| {
+                *b = b.replace("0.010398", "0.01O398")
+            }),
+            ("no baseline rows", 4, false, |r, _| {
+                r[0].section = "sched".into()
+            }),
+            // The key names every input: a 20k-job run never meets the
+            // 100k-job row (162,203 vs 156,563 jobs/s would pass a 20%
+            // gate), and no row meets the same key in another section.
+            ("differs only in jobs", 4, false, |r, _| {
+                r[4].key = r[4].key.replace("100", "20")
+            }),
+            ("other section", 4, false, |r, _| {
+                r[0].section = "parallel".into()
+            }),
+        ];
+        for (case, cores, passes, edit) in cases {
+            let (mut current, mut baseline) = (base.clone(), to_json(&base));
+            edit(&mut current, &mut baseline);
+            let verdict = parse(&baseline).map(|b| gate(&current, &b, *cores));
+            let ok = matches!(&verdict, Ok(v) if v.failures.is_empty());
+            assert_eq!(ok, *passes, "{case}: {verdict:?}");
         }
-    }
-
-    #[test]
-    fn json_round_trips_kernel_fields() {
-        let json = sample().to_json();
-        let parsed = parse_kernels(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "matmul");
-        assert_eq!(parsed[0].1, 4);
-        assert!((parsed[0].2 - 40.0).abs() < 1e-9);
-        assert_eq!(parsed[1], ("fft".to_string(), 16, 100.0));
-    }
-
-    #[test]
-    fn regression_check_flags_only_real_drops() {
-        let baseline = sample().to_json();
-        let mut current = sample().kernels;
-        current[0].mflops = 35.0; // within 20% of 40 — fine
-        current[1].mflops = 70.0; // 30% below 100 — regression
-        let bad = regressions(&current, &baseline, 0.20);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("fft"), "{bad:?}");
     }
 
     #[test]
     fn counter_handle_is_not_slower_than_legacy_map() {
-        let b = counter_microbench(2_000_000);
-        // Generous headroom: the handle is a Cell bump, the legacy path a
-        // BTreeMap lookup behind a RefCell. Even on a noisy CI box the
-        // handle must not lose.
-        assert!(
-            b.handle_ns_per_op <= b.legacy_ns_per_op * 1.10,
-            "registry handle regressed the hot path: {:.2} ns/op vs legacy {:.2} ns/op",
-            b.handle_ns_per_op,
-            b.legacy_ns_per_op
-        );
-    }
-
-    #[test]
-    fn json_carries_the_transport_section() {
-        let json = sample().to_json();
-        assert!(json.contains("\"transport_fault_free\""), "{json}");
-        assert!(json.contains("\"retransmits\": 0"), "{json}");
+        let rows = counter_probe(2_000_000, 3);
+        // The handle is a Cell bump, the legacy path a BTreeMap lookup
+        // behind a RefCell; both loops go through `black_box`, so neither
+        // folds away. Even on a noisy CI box the handle must not lose.
+        assert!(invariants(&rows).is_empty(), "{rows:?}");
+        assert!(value(&rows, "iters", "handle_ns") > 0.0, "{rows:?}");
     }
 
     #[test]
     fn fault_free_probe_shows_zero_protocol_overhead() {
-        let (_, t) = collective_probe(2);
-        assert_eq!(t.retransmits, 0, "healthy path must not retransmit");
-        assert_eq!(t.crc_errors, 0);
-        assert_eq!(t.escalations, 0);
-    }
-
-    #[test]
-    fn json_carries_the_scheduler_section() {
-        let json = sample().to_json();
-        assert!(json.contains("\"scheduler\""), "{json}");
-        assert!(json.contains("\"policy\": \"Fcfs\""), "{json}");
-    }
-
-    #[test]
-    fn scale_json_round_trips_and_gates() {
-        let report = sample();
-        let json = report.to_json();
-        let parsed = parse_scale(&json);
-        assert_eq!(parsed, vec![(6, "allreduce".to_string(), 200_000.0)]);
-        // Standalone scale document parses the same way.
-        let solo = scale_to_json(&report.scale);
-        assert_eq!(parse_scale(&solo), parsed);
-        // 10% below baseline passes a 20% gate; 30% below fails it.
-        let mut fast = report.scale.clone();
-        fast[0].events_per_sec = 180_000.0;
-        assert!(scale_regressions(&fast, &json, 0.20).is_empty());
-        let mut slow = report.scale.clone();
-        slow[0].events_per_sec = 140_000.0;
-        let bad = scale_regressions(&slow, &json, 0.20);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("dim 6"), "{bad:?}");
-        // Kernel parsing must not pick up scale lines and vice versa.
-        assert_eq!(parse_kernels(&solo), vec![]);
-    }
-
-    #[test]
-    fn checkpoint_json_round_trips_and_gates_on_slowdown() {
-        let report = sample();
-        let json = report.to_json();
-        let parsed = parse_checkpoint(&json);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!((parsed[0].0, parsed[0].1.as_str()), (4, "small-8row"));
-        assert!((parsed[0].2 - 0.131).abs() < 1e-9);
-        // Scale/kernel parsers must not pick up checkpoint lines.
-        assert!(!parse_scale(&json).iter().any(|(_, w, _)| w == "small-8row"));
-        // 10% slower passes a 20% gate; 30% slower fails it — and the
-        // gate reads "higher seconds = worse", unlike the MFLOPS gate.
-        let mut ok = report.checkpoint.clone();
-        ok[0].full_snapshot_s *= 1.10;
-        assert!(checkpoint_regressions(&ok, &json, 0.20).is_empty());
-        let mut slow = report.checkpoint.clone();
-        slow[0].delta_snapshot_s *= 1.30;
-        let bad = checkpoint_regressions(&slow, &json, 0.20);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("delta"), "{bad:?}");
+        let rows = collective_probe(2);
+        for metric in ["retransmits", "crc_errors", "escalations"] {
+            assert_eq!(value(&rows, "faults=none", metric), 0.0, "{metric}");
+        }
+        assert!(invariants(&rows).is_empty());
     }
 
     #[test]
     fn checkpoint_probe_is_configuration_independent() {
-        let rows = checkpoint_probe(&[3, 4, 5]);
-        for w in rows.windows(2) {
-            let ratio = w[1].full_snapshot_s / w[0].full_snapshot_s;
+        let rows: Vec<Row> = (3..=5).flat_map(|d| checkpoint_probe(d, false)).collect();
+        assert!(invariants(&rows).is_empty(), "{rows:?}");
+        for d in 3..=5 {
+            let key = format!("dim={d},");
             assert!(
-                (0.9..=1.1).contains(&ratio),
-                "snapshot time must be flat across dims: {} s at dim {} vs {} s at dim {}",
-                w[0].full_snapshot_s,
-                w[0].dim,
-                w[1].full_snapshot_s,
-                w[1].dim
-            );
-        }
-        for r in &rows {
-            assert!(
-                r.delta_bytes * 4 < r.full_bytes,
+                value(&rows, &key, "delta_bytes") * 4.0 < value(&rows, &key, "full_bytes"),
                 "a one-row delta must stream far fewer bytes than the full image"
             );
         }
     }
 
     #[test]
-    fn service_json_round_trips_and_gates() {
-        let report = sample();
-        let json = report.to_json();
-        let parsed = parse_service(&json);
-        assert_eq!(parsed, vec![(8, "synthetic".to_string(), 0.8, 80_000.0)]);
-        // Standalone service document parses the same way.
-        let solo = service_to_json(&report.service);
-        assert_eq!(parse_service(&solo), parsed);
-        // Service lines must not leak into the other section parsers,
-        // nor scale lines into the service parser.
-        assert!(!parse_scale(&json).iter().any(|(_, w, _)| w == "synthetic"));
-        assert_eq!(parse_service(&scale_to_json(&report.scale)), vec![]);
-        assert_eq!(parse_kernels(&solo), vec![]);
-        assert_eq!(parse_checkpoint(&solo), vec![]);
-        // 10% below baseline passes a 20% gate; 30% below fails it.
-        let mut ok = report.service.clone();
-        ok[0].jobs_per_s = 72_000.0;
-        assert!(service_regressions(&ok, &json, 0.20).is_empty());
-        let mut slow = report.service.clone();
-        slow[0].jobs_per_s = 56_000.0;
-        let bad = service_regressions(&slow, &json, 0.20);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("dim 8"), "{bad:?}");
-    }
-
-    #[test]
     fn service_capacity_probe_serves_a_small_stream() {
-        let row = service_capacity_row(5, 5_000, 0.8);
-        assert_eq!((row.dim, row.nodes, row.jobs), (5, 32, 5_000));
-        assert_eq!(row.workload, "synthetic");
-        assert!(
-            row.utilization > 0.4 && row.utilization < 1.0,
-            "{}",
-            row.utilization
-        );
-        assert!(row.jobs_per_s > 0.0);
-        assert!(row.p99_wait_us >= row.p50_wait_us);
+        let rows = service_probe(5, 5_000, 0.8, false);
+        assert_eq!(rows[0].key, "dim=5,workload=synthetic,load=0.80,jobs=5000");
+        let util = value(&rows, "", "utilization");
+        assert!(util > 0.4 && util < 1.0, "{util}");
+        assert!(value(&rows, "", "jobs_per_s") > 0.0);
+        assert!(value(&rows, "", "p99_wait_us") >= value(&rows, "", "p50_wait_us"));
         // Deterministic: the same probe point reproduces every simulated
-        // figure exactly (only wall_s may differ).
-        let again = service_capacity_row(5, 5_000, 0.8);
-        assert_eq!(row.jobs_per_s, again.jobs_per_s);
-        assert_eq!(row.p99_wait_us, again.p99_wait_us);
-        assert_eq!(row.promotions, again.promotions);
-    }
-
-    #[test]
-    fn annotate_pre_computes_speedup() {
-        let mut rows = sample().scale;
-        let pre = scale_to_json(&[ScaleRow {
-            events_per_sec: 40_000.0,
-            ..rows[0].clone()
-        }]);
-        annotate_scale_pre(&mut rows, &pre);
-        assert_eq!(rows[0].pre_events_per_sec, 40_000.0);
-        assert!((rows[0].speedup_vs_pre - 5.0).abs() < 1e-9);
+        // row exactly (only wall_s may differ).
+        let again = service_probe(5, 5_000, 0.8, false);
+        let sim = |rows: &[Row]| -> Vec<Row> {
+            rows.iter()
+                .filter(|r| r.clock == Clock::Sim)
+                .cloned()
+                .collect()
+        };
+        assert_eq!(sim(&rows), sim(&again));
     }
 
     #[test]
     fn scale_probe_runs_a_small_cube() {
-        let row = scale_probe(2, true);
-        assert_eq!(row.dim, 2);
-        assert_eq!(row.nodes, 4);
-        assert_eq!(row.workload, "allreduce+matmul+fft");
-        assert!(row.events > 0);
-        assert!(row.sim_s > 0.0);
-        assert!(row.events_per_sec > 0.0);
+        let rows = scale_probe(2, true, 1);
+        assert_eq!(
+            rows[0].key,
+            "dim=2,workload=allreduce+matmul+fft,mem=small-8row"
+        );
+        assert!(value(&rows, "", "events") > 0.0);
+        assert!(value(&rows, "", "sim_s") > 0.0);
+        assert!(value(&rows, "", "ev_per_s_vs_executor") > 0.0);
     }
 
     #[test]
     fn sched_probe_shows_backfill_winning() {
         let rows = sched_probe();
-        assert_eq!(rows.len(), 2);
-        let (fcfs, backfill) = (&rows[0], &rows[1]);
-        assert_eq!(fcfs.policy, "Fcfs");
-        assert_eq!(backfill.policy, "FcfsBackfill");
+        let (fcfs, backfill) = ("policy=Fcfs,", "policy=FcfsBackfill,");
+        let makespan = |p| value(&rows, p, "makespan_us");
         assert!(
-            backfill.makespan_us < fcfs.makespan_us,
+            makespan(backfill) < makespan(fcfs),
             "backfill {} us must beat FCFS {} us",
-            backfill.makespan_us,
-            fcfs.makespan_us
+            makespan(backfill),
+            makespan(fcfs)
         );
-        assert!(backfill.utilization > fcfs.utilization);
+        assert!(value(&rows, backfill, "utilization") > value(&rows, fcfs, "utilization"));
     }
 
     #[test]
     fn collective_latency_probe_books_all_ops() {
-        let rows = collective_latencies(2);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert_eq!(r.calls, 4, "{} should run once per node", r.op);
-            assert!(r.mean_us > 0.0, "{} mean should be positive", r.op);
+        let rows = collective_probe(2);
+        for op in ["broadcast", "allreduce", "barrier"] {
+            let key = format!("op={op},");
+            assert_eq!(
+                value(&rows, &key, "calls"),
+                4.0,
+                "{op} should run once per node"
+            );
+            let mean = value(&rows, &key, "mean_us");
+            assert!(mean > 0.0, "{op} mean should be positive");
             assert!(
-                r.p99_us as f64 >= r.mean_us,
-                "{}: p99 bound below mean",
-                r.op
+                value(&rows, &key, "p99_us_bound") >= mean,
+                "{op}: p99 bound below mean"
             );
         }
     }

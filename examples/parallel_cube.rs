@@ -93,6 +93,8 @@ fn main() {
 
     println!("\n(On a single-core host the sharded runs are slower — the");
     println!("barrier protocol costs more than it buys. The win shows up on");
-    println!("multi-core hardware; see the scale-parallel CI lane and the");
-    println!("`parallel` rows of BENCH_8.json, which record host_cores.)");
+    println!("multi-core hardware: the `parallel` rows of BENCH.json record");
+    println!("host_cores and the speedup over 1 shard; regenerate and gate them");
+    println!("with `cargo run --release -p ts-bench --bin bench_json --");
+    println!("--sections parallel --baseline BENCH.json --out PARALLEL_ci.json`.)");
 }
