@@ -1,11 +1,20 @@
 //! Telemetry-spine integration tests: the Perfetto export must be
 //! schema-valid `trace_event` JSON, histogram bucketing must respect its
-//! own bucket-range invariants, and a deterministic simulator must emit
-//! byte-identical event streams for identical runs.
+//! own bucket-range invariants, a deterministic simulator must emit
+//! byte-identical event streams for identical runs, and the machine-wide
+//! metrics rollup and utilization report are pinned exactly for three
+//! representative scenarios.
 
 use fps_t_series::fpu::Sf64;
+use fps_t_series::kernels::{fft, matmul};
+use fps_t_series::machine::checkpoint::{CheckpointStore, SnapshotMode};
+use fps_t_series::machine::collectives::{broadcast, with_deadline};
+use fps_t_series::machine::fault::{FaultEvent, FaultPlan};
+use fps_t_series::machine::router::Router;
+use fps_t_series::machine::supervisor::{Phase, Supervisor};
 use fps_t_series::machine::{Machine, MachineCfg};
-use fps_t_series::sim::{trace_event_json, Histogram, Tracer};
+use fps_t_series::mem::ROW_WORDS;
+use fps_t_series::sim::{trace_event_json, Dur, Histogram, Rng, Tracer};
 use fps_t_series::vector::VecForm;
 
 /// A tiny recursive-descent JSON parser — just enough to validate the
@@ -372,4 +381,294 @@ fn identical_runs_emit_identical_event_streams() {
         trace_event_json(&b),
         "two identical runs must serialize to byte-identical traces"
     );
+}
+
+/// FNV-1a over a byte stream.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// Scenario 1: on a 4-cube, a full checkpoint, Cannon matmul, a delta
+/// checkpoint, a distributed FFT, then a restore from the store.
+fn kernels_with_checkpoints() -> Machine {
+    let mut m = Machine::build(MachineCfg::cube_small_mem(4, 8));
+    let mut store = CheckpointStore::new(m.nodes.len());
+    m.checkpoint(&mut store, SnapshotMode::Full).unwrap();
+    matmul::distributed_matmul(&mut m, 8, 7);
+    m.checkpoint(&mut store, SnapshotMode::Delta).unwrap();
+    let input: Vec<(f64, f64)> = (0..32)
+        .map(|i| (i as f64 * 0.25, -(i as f64) * 0.125))
+        .collect();
+    fft::distributed_fft(&mut m, &input);
+    m.restore_from(&store).unwrap();
+    m
+}
+
+/// Every node of a 3-cube runs `sweeps` SAXPY passes over bank B row 0.
+fn saxpy_phase(sweeps: usize) -> Phase<'static> {
+    Box::new(move |m: &mut Machine| {
+        m.launch(move |ctx| async move {
+            let rows_a = ctx.mem().cfg().rows_a();
+            for _ in 0..sweeps {
+                let one = VecForm::Saxpy(Sf64::from(1.0));
+                if ctx.vec(one, 0, rows_a, rows_a, 128).await.is_err() {
+                    return;
+                }
+            }
+        });
+    })
+}
+
+/// Every node routes one word to its cube-opposite; a dead cable on the
+/// e-cube path forces the router to detour.
+fn routed_exchange_phase() -> Phase<'static> {
+    Box::new(|m: &mut Machine| {
+        let router = Router::start(m);
+        let n = m.nodes.len() as u32;
+        let handles: Vec<_> = (0..n).map(|i| router.handle(i)).collect();
+        m.launch_on(0, async move {
+            for (i, h) in handles.iter().enumerate() {
+                let _ = h.send_to(i as u32 ^ (n - 1), vec![100 + i as u32]).await;
+            }
+            for h in &handles {
+                h.recv().await;
+            }
+            router.shutdown().await;
+        });
+    })
+}
+
+/// The root broadcasts under a 300 µs deadline while every other node is
+/// busy for 400 µs first: the first attempt times out and is retried.
+fn late_broadcast_phase() -> Phase<'static> {
+    Box::new(|m: &mut Machine| {
+        let cube = m.cube;
+        m.launch(move |ctx| async move {
+            if ctx.id() == 0 {
+                let data = || broadcast(&ctx, cube, 0, Some(vec![7, 8, 9]));
+                with_deadline(&ctx, Dur::us(300), 4, data).await.unwrap();
+            } else {
+                ctx.cp_compute(3_000).await;
+                broadcast(&ctx, cube, 0, None).await;
+            }
+        });
+    })
+}
+
+/// Scenario 2: a supervised 3-cube job under a fault plan. A cable dies
+/// during the first compute phase (router reroutes on every replay), a
+/// node crashes during the routed exchange (one reboot), and a late
+/// broadcast retries under its deadline.
+fn supervised_faults() -> Machine {
+    let cfg = MachineCfg::cube_small_mem(3, 8);
+    let seed = |m: &mut Machine| {
+        for node in &m.nodes {
+            let mut mem = node.mem_mut();
+            let rows_a = mem.cfg().rows_a();
+            for i in 0..128 {
+                mem.write_f64(2 * i, Sf64::from(1.0)).unwrap();
+                mem.write_f64(rows_a * ROW_WORDS + 2 * i, Sf64::from(node.id as f64))
+                    .unwrap();
+            }
+        }
+    };
+    let phases = || {
+        vec![
+            saxpy_phase(3),
+            routed_exchange_phase(),
+            late_broadcast_phase(),
+            saxpy_phase(2),
+        ]
+    };
+    // Fault times fall inside phases of a fault-free probe run.
+    let (d0, p0, p1) = {
+        let mut m = Machine::build(cfg);
+        seed(&mut m);
+        let d0 = m.snapshot().unwrap().1;
+        let ph = phases();
+        let t1 = m.now();
+        ph[0](&mut m);
+        assert!(m.run().quiescent);
+        let t2 = m.now();
+        ph[1](&mut m);
+        assert!(m.run().quiescent);
+        (d0, t2.since(t1), m.now().since(t2))
+    };
+    let half = |d: Dur| Dur::from_secs_f64(d.as_secs_f64() / 2.0);
+    let plan = FaultPlan::new()
+        .with(d0 + half(p0), FaultEvent::LinkDown { node: 1, dim: 0 })
+        .with(d0 + p0 + half(p1), FaultEvent::NodeCrash { node: 6 });
+    let (m, rep) = Supervisor::new(cfg)
+        .run_to_completion(seed, &phases(), &plan)
+        .unwrap();
+    assert_eq!(rep.reboots, 1);
+    m
+}
+
+/// Scenario 3: a seeded permutation of 8-word messages through the
+/// store-and-forward router on a 4-cube, two rounds.
+fn routed_permutation() -> Machine {
+    let mut m = Machine::build(MachineCfg::cube_small_mem(4, 8));
+    let n = m.nodes.len() as u32;
+    let mut rng = Rng::new(1986);
+    let perms: Vec<Vec<u32>> = (0..2)
+        .map(|_| {
+            let mut p: Vec<u32> = (0..n).collect();
+            for i in (1..p.len()).rev() {
+                p.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            p
+        })
+        .collect();
+    let router = Router::start(&m);
+    let handles: Vec<_> = (0..n).map(|i| router.handle(i)).collect();
+    for (id, h) in handles.into_iter().enumerate() {
+        let perms = perms.clone();
+        m.launch_on(id as u32, async move {
+            for p in &perms {
+                h.send_to(p[id], vec![id as u32; 8]).await.unwrap();
+                h.recv().await;
+            }
+        });
+    }
+    m.run();
+    m.launch_on(0, async move {
+        router.shutdown().await;
+    });
+    assert!(m.run().quiescent);
+    m
+}
+
+/// The machine-wide rollup as `key=value` lines (counters, then
+/// durations in picoseconds) and an FNV digest of the utilization report.
+fn pinned_view(m: &Machine) -> (Vec<String>, Vec<String>, u64) {
+    let met = m.metrics();
+    let counters = met
+        .counters()
+        .iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    let durations = met
+        .durations()
+        .iter()
+        .map(|(k, d)| format!("{k}={}", d.as_ps()))
+        .collect();
+    (counters, durations, fnv(m.utilization_report().as_bytes()))
+}
+
+/// One pinned scenario: its name, the run, and the exact rollup counters,
+/// durations and report digest it must produce.
+struct Pinned {
+    name: &'static str,
+    run: fn() -> Machine,
+    counters: &'static [&'static str],
+    durations: &'static [&'static str],
+    report_fnv: u64,
+}
+
+#[test]
+fn metrics_rollup_and_report_are_pinned() {
+    let table = [
+        Pinned {
+            name: "kernels_with_checkpoints",
+            run: kernels_with_checkpoints,
+            counters: &[
+                "ckpt.bytes_full_equiv=262400",
+                "ckpt.bytes_streamed=131392",
+                "ckpt.delta=1",
+                "ckpt.full=1",
+                "cp.gathered=0",
+                "cp.instrs=0",
+                "cp.scattered=0",
+                "link.bytes_recv=6656",
+                "link.bytes_sent=6656",
+                "link.crc_errors=0",
+                "link.escalations=0",
+                "link.msgs_recv=208",
+                "link.msgs_sent=208",
+                "link.retransmits=0",
+                "link.words_recv=1664",
+                "link.words_sent=1664",
+                "mem.rows_moved=0",
+                "vec.flops=2464",
+            ],
+            durations: &["cp.busy=0", "port.cp=0", "vec.busy=1103200000"],
+            report_fnv: 0xd6f98af762b996c1,
+        },
+        Pinned {
+            name: "supervised_faults",
+            run: supervised_faults,
+            counters: &[
+                "collective.retries=1",
+                "cp.gathered=0",
+                "cp.instrs=21624",
+                "cp.scattered=0",
+                "fault.link_down=1",
+                "link.bytes_recv=1020",
+                "link.bytes_sent=1032",
+                "link.crc_errors=0",
+                "link.escalations=0",
+                "link.msgs_recv=42",
+                "link.msgs_sent=43",
+                "link.retransmits=0",
+                "link.words_recv=21",
+                "link.words_sent=258",
+                "mem.rows_moved=0",
+                "router.dropped=1",
+                "router.reroutes=6",
+                "supervisor.delta_snapshots=0",
+                "supervisor.reboots=1",
+                "supervisor.snapshots=1",
+                "supervisor.torn_checkpoints=0",
+                "supervisor.watchdog_trips=0",
+                "vec.flops=10240",
+            ],
+            durations: &[
+                "cp.busy=2883192792",
+                "port.cp=0",
+                "supervisor.rework=194443478",
+                "vec.busy=753000000",
+            ],
+            report_fnv: 0x717ac44482ca6d08,
+        },
+        Pinned {
+            name: "routed_permutation",
+            run: routed_permutation,
+            counters: &[
+                "cp.gathered=0",
+                "cp.instrs=1728",
+                "cp.scattered=0",
+                "link.bytes_recv=4352",
+                "link.bytes_sent=4352",
+                "link.crc_errors=0",
+                "link.escalations=0",
+                "link.msgs_recv=96",
+                "link.msgs_sent=96",
+                "link.retransmits=0",
+                "link.words_recv=0",
+                "link.words_sent=1088",
+                "mem.rows_moved=0",
+                "vec.flops=0",
+            ],
+            durations: &["cp.busy=230399424", "port.cp=0", "vec.busy=0"],
+            report_fnv: 0x2e42cd1bb468a0a7,
+        },
+    ];
+    for p in table {
+        let m = (p.run)();
+        let (counters, durations, report_fnv) = pinned_view(&m);
+        let report = m.utilization_report();
+        assert_eq!(counters, p.counters, "{}: counters\n{report}", p.name);
+        assert_eq!(durations, p.durations, "{}: durations\n{report}", p.name);
+        assert_eq!(
+            report_fnv, p.report_fnv,
+            "{}: report digest {report_fnv:#x}\n{report}",
+            p.name
+        );
+    }
 }
