@@ -1106,6 +1106,8 @@ impl NodeCtx {
             ts_cp::emu::load_code(&mut bus, base, code).map_err(CpRunError::Cp)?;
         }
         let mut cp = Cp::new(base, wptr);
+        // Processor time of this program already charged to the clock.
+        let mut charged = Dur::ZERO;
         loop {
             let outcome = {
                 let mut st = self.node.shared.state.borrow_mut();
@@ -1113,10 +1115,8 @@ impl NodeCtx {
                 cp.run(&mut bus, 10_000_000).map_err(CpRunError::Cp)?
             };
             // Charge the cycles executed since the last yield.
-            let elapsed = cp.elapsed();
-            let already = self.node.shared.metrics.get_time("cp.isa_charged");
-            let fresh = elapsed - already;
-            self.node.shared.metrics.add_time("cp.isa_charged", fresh);
+            let fresh = cp.elapsed() - charged;
+            charged += fresh;
             self.node.shared.meters.cp_busy.add(fresh);
             self.node.shared.cp_res.use_for(&self.node.h, fresh).await;
             match outcome {
@@ -1467,6 +1467,41 @@ mod tests {
             assert_eq!(b.mem().read_word(512 + i).unwrap(), w);
         }
         assert!(b.meters().cp_busy.get() > Dur::ZERO);
+    }
+
+    #[test]
+    fn cp_programs_are_charged_independently() {
+        // Each program pays for its own cycles: the same program run twice
+        // on one node costs the same both times, and a short program after
+        // a long one is charged its own (smaller) time.
+        let long = ts_cp::assemble("ldc 1\nldc 2\nadd\nldc 3\nadd\nhalt\n").unwrap();
+        let short = ts_cp::assemble("halt\n").unwrap();
+        for (first, second) in [(&long, &long), (&long, &short)] {
+            let mut sim = Sim::new();
+            let node = Node::new(0, NodeCfg::default(), sim.handle());
+            let ctx = node.ctx();
+            let (first, second) = (first.clone(), second.clone());
+            let jh = sim.spawn(async move {
+                let mut costs = Vec::new();
+                for code in [first, second] {
+                    let t0 = ctx.now();
+                    let cp = ctx.run_cp_program(&code, 4096, 256).await.unwrap();
+                    costs.push((ctx.now().since(t0), cp.elapsed()));
+                }
+                costs
+            });
+            assert!(sim.run().quiescent);
+            let costs = jh.try_take().unwrap();
+            for (charged, elapsed) in &costs {
+                assert!(*elapsed > Dur::ZERO);
+                assert_eq!(charged, elapsed);
+            }
+            assert_eq!(
+                node.meters().cp_busy.get(),
+                costs[0].1 + costs[1].1,
+                "cp busy is the sum of both programs"
+            );
+        }
     }
 
     #[test]
