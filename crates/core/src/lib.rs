@@ -141,12 +141,12 @@ pub struct Specs {
 /// Why a machine-level snapshot or restore could not complete.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MachineError {
-    /// Restore was handed a different number of images than the machine
-    /// has nodes.
+    /// A restore image set or a checkpoint store holds a different number
+    /// of images than the machine has nodes.
     BadImageCount {
         /// Nodes in the machine.
         expected: usize,
-        /// Images supplied.
+        /// Images supplied (or nodes the store was sized for).
         got: usize,
     },
     /// An image's word count does not match the node's memory geometry.
@@ -755,6 +755,9 @@ impl Machine {
     /// aborted machine has parked snapshot tasks and needs the same reboot
     /// a crash does before further use.
     ///
+    /// A store sized for a different node count fails with
+    /// [`MachineError::BadImageCount`] before anything streams.
+    ///
     /// A requested delta is promoted to full when the store has no
     /// committed base yet.
     pub fn checkpoint(
@@ -763,11 +766,12 @@ impl Machine {
         mode: checkpoint::SnapshotMode,
     ) -> Result<checkpoint::CheckpointStats, MachineError> {
         use checkpoint::SnapshotMode;
-        assert_eq!(
-            store.nodes(),
-            self.nodes.len(),
-            "checkpoint store sized for a different machine"
-        );
+        if store.nodes() != self.nodes.len() {
+            return Err(MachineError::BadImageCount {
+                expected: self.nodes.len(),
+                got: store.nodes(),
+            });
+        }
         if let Some(n) = self.nodes.iter().find(|n| n.is_crashed()) {
             return Err(MachineError::NodeDown { node: n.id });
         }
@@ -1244,6 +1248,15 @@ mod tests {
             Err(MachineError::BadImageGeometry { node: 2, .. }) => {}
             other => panic!("expected BadImageGeometry for node 2, got {other:?}"),
         }
+        let mut small = checkpoint::CheckpointStore::new(4);
+        assert_eq!(
+            m.checkpoint(&mut small, checkpoint::SnapshotMode::Full)
+                .unwrap_err(),
+            MachineError::BadImageCount {
+                expected: 8,
+                got: 4
+            }
+        );
         m.faults().crash(5);
         assert_eq!(m.snapshot(), Err(MachineError::NodeDown { node: 5 }));
         assert_eq!(m.restore(&images), Err(MachineError::NodeDown { node: 5 }));
