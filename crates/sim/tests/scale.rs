@@ -15,7 +15,7 @@
 //! allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use t_series_core::parallel::{run_parallel, ParallelCfg};
 use t_series_core::{collectives, Hypercube, Machine, MachineCfg};
@@ -24,20 +24,35 @@ use ts_node::CombineOp;
 
 /// Counting allocator: every test in this binary runs under it, and the
 /// zero-allocation assertions sample the counter around a hot region.
+/// Counts are per thread, so tests running in parallel on other threads
+/// do not leak into the sampled region.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation on the calling thread. The cell is `const`
+/// initialised and has no destructor, so touching it never allocates.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -191,13 +206,21 @@ fn meter_updates_do_not_allocate() {
     let hist = reg.histogram("scale/lens");
     // Warm the histogram's bucket storage before sampling.
     hist.observe(1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    // The counter sees this thread's allocations.
+    let probe = allocs();
+    drop(std::hint::black_box(vec![0u8; 16]));
+    assert_eq!(
+        allocs(),
+        probe + 1,
+        "counting allocator missed an allocation"
+    );
+    let before = allocs();
     for i in 0..10_000u64 {
         counter.add(1);
         busy.add(ts_sim::Dur::ns(100));
         hist.observe(i % 64);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
