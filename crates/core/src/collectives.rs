@@ -75,7 +75,7 @@ where
     let h: &SimHandle = ctx.handle();
     for attempt in 0..attempts.max(1) {
         if attempt > 0 {
-            ctx.metrics().inc("collective.retries");
+            ctx.meters().count("collective/retries", 1);
         }
         let fut = Box::pin(op());
         match select2(fut, h.sleep(dur)).await {
@@ -83,7 +83,7 @@ where
             Either::Right(()) => {}
         }
     }
-    ctx.metrics().inc("collective.deadline_expired");
+    ctx.meters().count("collective/deadline_expired", 1);
     Err(DeadlineExpired {
         attempts: attempts.max(1),
     })

@@ -155,29 +155,29 @@ impl FaultEvent {
         match *self {
             FaultEvent::LinkDown { dim, .. } => {
                 n.set_link_down(dim as usize);
-                n.metrics().inc("fault.link_down");
+                n.meters().count("fault/link_down", 1);
             }
             FaultEvent::NodeCrash { .. } => {
                 n.crash();
-                n.metrics().inc("fault.node_crash");
+                n.meters().count("fault/node_crash", 1);
             }
             FaultEvent::MemFlip { addr, bit, .. } => {
                 n.mem_mut()
                     .inject_bit_flip(addr, bit)
                     .expect("mem-flip address out of range");
-                n.metrics().inc("fault.mem_flip");
+                n.meters().count("fault/mem_flip", 1);
             }
             FaultEvent::WireCorrupt { dim, flit_bit, .. } => {
                 n.queue_wire_corrupt(dim as usize, flit_bit);
-                n.metrics().inc("fault.wire_corrupt");
+                n.meters().count("fault/wire_corrupt", 1);
             }
             FaultEvent::FlitDrop { dim, .. } => {
                 n.queue_flit_drop(dim as usize);
-                n.metrics().inc("fault.flit_drop");
+                n.meters().count("fault/flit_drop", 1);
             }
             FaultEvent::LinkFlap { dim, down_for, .. } => {
                 n.flap_link(dim as usize, down_for);
-                n.metrics().inc("fault.link_flap");
+                n.meters().count("fault/link_flap", 1);
             }
         }
     }

@@ -45,7 +45,7 @@ use std::fmt;
 
 pub use ts_cube::Hypercube;
 use ts_cube::{NodeId, Subcube, SublinkBudget};
-use ts_link::{LinkChannel, Wire};
+use ts_link::{LinkChannel, LinkParams, Wire};
 use ts_node::{Node, NodeCfg, NodeCtx};
 use ts_sim::{Dur, JoinHandle, Metrics, MetricsRegistry, RunReport, Sim, SimHandle, Time};
 
@@ -235,92 +235,24 @@ impl Machine {
             .map(|id| Node::with_registry(id, cfg.node, h.clone(), &registry))
             .collect();
 
-        // Four link engines per node, each direction its own FIFO server.
-        let wires_out: Vec<Vec<Wire>> = cube
-            .iter()
-            .map(|_| {
-                (0..4)
-                    .map(|_| Wire::new("link.out", cfg.node.link))
-                    .collect()
-            })
-            .collect();
-        let wires_in: Vec<Vec<Wire>> = cube
-            .iter()
-            .map(|_| {
-                (0..4)
-                    .map(|_| Wire::new("link.in", cfg.node.link))
-                    .collect()
-            })
-            .collect();
-
-        // Hypercube edges: dimension d rides physical link d mod 4.
+        let engines = LinkEngines::new(nodes.len(), cfg.node.link);
         for d in 0..cfg.dim {
             for a in cube.iter() {
                 let b = cube.neighbor(a, d);
-                if a > b {
-                    continue;
+                if a < b {
+                    engines.wire_edge(&nodes, d, a as usize, b as usize);
                 }
-                let l = (d % 4) as usize;
-                let (ai, bi) = (a as usize, b as usize);
-                let mut ab =
-                    LinkChannel::new_pair(wires_out[ai][l].clone(), wires_in[bi][l].clone());
-                ab.set_metrics(nodes[ai].metrics().clone());
-                // Message latency is booked at delivery, on the receiver.
-                ab.set_latency_histogram(nodes[bi].meters().link_latency_ns.clone());
-                let mut ba =
-                    LinkChannel::new_pair(wires_out[bi][l].clone(), wires_in[ai][l].clone());
-                ba.set_metrics(nodes[bi].metrics().clone());
-                ba.set_latency_histogram(nodes[ai].meters().link_latency_ns.clone());
-                // Retransmit accounting lands on the *transmitting* node's
-                // meters — corruption is injected at the sender's end.
-                let (ma, mb) = (nodes[ai].meters().clone(), nodes[bi].meters().clone());
-                ab.set_transport_meters(
-                    ma.link_retransmits.clone(),
-                    ma.link_crc_errors.clone(),
-                    ma.link_escalations.clone(),
-                );
-                ba.set_transport_meters(
-                    mb.link_retransmits.clone(),
-                    mb.link_crc_errors.clone(),
-                    mb.link_escalations.clone(),
-                );
-                // Both directions of one physical edge share a health flag,
-                // so a single LinkDown fault fails traffic both ways.
-                ba.set_status(ab.status().clone());
-                nodes[ai].wire_dim(d as usize, ab.clone(), ba.clone());
-                nodes[bi].wire_dim(d as usize, ba, ab);
             }
         }
 
-        // System boards: one per 8-node module; the system thread uses the
-        // nodes' link 3 and the board's own engine. Boards chain in a ring.
+        // System boards: one per 8-node module. Boards chain in a ring.
         let module_count = cube.modules() as usize;
-        let mut boards = Vec::with_capacity(module_count);
-        for m in 0..module_count {
-            let board_out = Wire::new("board.out", cfg.node.link);
-            let board_in = Wire::new("board.in", cfg.node.link);
-            let lo = m * 8;
-            let hi = ((m + 1) * 8).min(cube.nodes() as usize);
-            let mut to_node = Vec::new();
-            let mut from_node = Vec::new();
-            for id in lo..hi {
-                let down = LinkChannel::new_pair(board_out.clone(), wires_in[id][3].clone());
-                let mut up = LinkChannel::new_pair(wires_out[id][3].clone(), board_in.clone());
-                up.set_status(down.status().clone());
-                nodes[id].wire_system(up.clone(), down.clone());
-                to_node.push(down);
-                from_node.push(up);
-            }
-            boards.push(SystemBoard::new(
-                m as u32,
-                h.clone(),
-                to_node,
-                from_node,
-                board_out,
-                board_in,
-                Disk::new(cfg.disk_rate),
-            ));
-        }
+        let boards: Vec<SystemBoard> = (0..module_count)
+            .map(|m| {
+                let hi = ((m + 1) * 8).min(nodes.len());
+                engines.system_board(m, &nodes, m * 8..hi, &h, &cfg)
+            })
+            .collect();
         // Ring links between consecutive boards (independent of the cube).
         if module_count > 1 {
             for m in 0..module_count {
@@ -502,39 +434,10 @@ impl Machine {
         &self.registry
     }
 
-    /// Aggregate all node metrics into one legacy-keyed bundle.
-    ///
-    /// Hot-path accounting lives in the typed registry now; this bridge
-    /// folds the meter totals back under the historical flat keys
-    /// (`vec.flops`, `cp.busy`, ...) so existing reports and kernel-stat
-    /// consumers keep working unchanged.
+    /// Machine-wide totals: every node's counters and busy-times summed
+    /// by unit and metric (`node/3/link/bytes_sent` → `link.bytes_sent`).
     pub fn metrics(&self) -> Metrics {
-        let total = Metrics::new();
-        for n in &self.nodes {
-            Machine::fold_node_metrics(&total, n);
-        }
-        total
-    }
-
-    /// Fold one node's counters into a legacy-keyed bundle — the shared
-    /// kernel of [`Machine::metrics`] and the parallel backend's per-shard
-    /// partials (one loop, so the two can never drift apart).
-    pub(crate) fn fold_node_metrics(total: &Metrics, n: &Node) {
-        total.merge(n.metrics());
-        let mt = n.meters();
-        total.add("cp.instrs", mt.cp_instrs.get());
-        total.add_time("cp.busy", mt.cp_busy.get());
-        total.add("cp.gathered", mt.cp_gathered.get());
-        total.add("cp.scattered", mt.cp_scattered.get());
-        total.add_time("port.cp", mt.port_cp.get());
-        total.add("vec.flops", mt.vec_flops.get());
-        total.add_time("vec.busy", mt.vec_busy.get());
-        total.add("mem.rows_moved", mt.rows_moved.get());
-        total.add("link.words_sent", mt.link_words_sent.get());
-        total.add("link.words_recv", mt.link_words_recv.get());
-        total.add("link.retransmits", mt.link_retransmits.get());
-        total.add("link.crc_errors", mt.link_crc_errors.get());
-        total.add("link.escalations", mt.link_escalations.get());
+        self.registry.rollup("node")
     }
 
     /// Achieved MFLOPS across the machine for the elapsed simulated time.
@@ -590,42 +493,10 @@ impl Machine {
     /// merges them in shard order; rendering the merged capture reproduces
     /// the sequential report byte for byte.
     pub fn report_data(&self) -> report::ReportData {
-        let n = self.nodes.len();
-        let mut data = report::ReportData {
-            now_ps: self.now().as_ps(),
+        report::ReportData {
             peak_mflops: self.cfg.specs().peak_mflops,
-            rows: Vec::with_capacity(n),
-            vec_len: Vec::with_capacity(n),
-            latency: Vec::with_capacity(n),
-            flaps: Vec::with_capacity(n),
-            ..report::ReportData::default()
-        };
-        for node in &self.nodes {
-            let m = node.metrics();
-            let mt = node.meters();
-            data.rows.push(report::NodeRow {
-                id: node.id,
-                vec_busy_ps: mt.vec_busy.get().as_ps(),
-                cp_busy_ps: mt.cp_busy.get().as_ps(),
-                vec_flops: mt.vec_flops.get(),
-                sent_b: m.get("link.bytes_sent"),
-                recv_b: m.get("link.bytes_recv"),
-            });
-            data.vec_len.push(report::HistSnapshot::of(&mt.vec_len));
-            data.latency
-                .push(report::HistSnapshot::of(&mt.link_latency_ns));
-            data.flaps.push(report::HistSnapshot::of(&mt.link_flap_us));
+            ..report::ReportData::capture(self.now(), &self.nodes, &self.boards, &self.registry)
         }
-        let m = self.metrics();
-        data.counters = m.counters();
-        data.durations = m.durations();
-        data.disk_busy_ps = self
-            .boards
-            .iter()
-            .map(|b| b.disk.busy_total().as_ps())
-            .collect();
-        data.ring_bytes = self.boards.iter().map(|b| b.ring_bytes()).collect();
-        data
     }
 
     /// Take a coordinated snapshot of every node's memory through the
@@ -722,7 +593,7 @@ impl Machine {
                     mem.restore(&image);
                     drop(mem);
                     if latent > 0 {
-                        node.metrics().add("fault.scrubbed_words", latent as u64);
+                        node.meters().count("fault/scrubbed_words", latent as u64);
                     }
                 });
             }
@@ -861,13 +732,13 @@ impl Machine {
         store
             .commit(effective, bytes_streamed, bytes_full)
             .expect("commit with a fully staged store");
-        let met = self.nodes[0].metrics();
+        let met = self.nodes[0].meters();
         match effective {
-            SnapshotMode::Full => met.inc("ckpt.full"),
-            SnapshotMode::Delta => met.inc("ckpt.delta"),
+            SnapshotMode::Full => met.count("ckpt/full", 1),
+            SnapshotMode::Delta => met.count("ckpt/delta", 1),
         }
-        met.add("ckpt.bytes_streamed", bytes_streamed);
-        met.add("ckpt.bytes_full_equiv", bytes_full);
+        met.count("ckpt/bytes_streamed", bytes_streamed);
+        met.count("ckpt/bytes_full_equiv", bytes_full);
         Ok(checkpoint::CheckpointStats {
             mode: effective,
             duration: self.sim.now().since(t0),
@@ -886,7 +757,7 @@ impl Machine {
         for n in &self.nodes {
             n.mem_mut().mark_all_dirty();
         }
-        self.nodes[0].metrics().inc("ckpt.torn_aborts");
+        self.nodes[0].meters().count("ckpt/torn_aborts", 1);
     }
 
     /// Restore every node's memory from the store's committed version (the
@@ -945,6 +816,86 @@ impl Machine {
     }
 }
 
+/// Every node's four link engines, one FIFO server per direction, indexed
+/// by node index and physical link. [`Machine::build`] and the parallel
+/// backend's shard builder wire cube edges and system boards through it.
+pub(crate) struct LinkEngines {
+    pub(crate) out: Vec<Vec<Wire>>,
+    pub(crate) inp: Vec<Vec<Wire>>,
+}
+
+impl LinkEngines {
+    pub(crate) fn new(nodes: usize, params: LinkParams) -> LinkEngines {
+        let engines = |name| {
+            (0..nodes)
+                .map(|_| (0..4).map(|_| Wire::new(name, params)).collect())
+                .collect()
+        };
+        LinkEngines {
+            out: engines("link.out"),
+            inp: engines("link.in"),
+        }
+    }
+
+    /// Wire cube dimension `d` between the nodes at indices `ai` and `bi`:
+    /// one sublink each way over physical link `d mod 4`, each metered on
+    /// its transmitter and its receiver. Both directions share one health
+    /// flag, so a single `LinkDown` fault fails traffic both ways.
+    pub(crate) fn wire_edge(&self, nodes: &[Node], d: u32, ai: usize, bi: usize) {
+        let l = (d % 4) as usize;
+        let (a, b) = (&nodes[ai], &nodes[bi]);
+        let mut ab = LinkChannel::new_pair(self.out[ai][l].clone(), self.inp[bi][l].clone());
+        ab.set_meters(a.meters().link_tx(), legacy_rx(a, b));
+        let mut ba = LinkChannel::new_pair(self.out[bi][l].clone(), self.inp[ai][l].clone());
+        ba.set_meters(b.meters().link_tx(), legacy_rx(b, a));
+        ba.set_status(ab.status().clone());
+        a.wire_dim(d as usize, ab.clone(), ba.clone());
+        b.wire_dim(d as usize, ba, ab);
+    }
+
+    /// Module `m`'s system board, wired to the nodes at indices `range`
+    /// over each node's link 3 and the board's own engines.
+    pub(crate) fn system_board(
+        &self,
+        m: usize,
+        nodes: &[Node],
+        range: std::ops::Range<usize>,
+        h: &SimHandle,
+        cfg: &MachineCfg,
+    ) -> SystemBoard {
+        let board_out = Wire::new("board.out", cfg.node.link);
+        let board_in = Wire::new("board.in", cfg.node.link);
+        let mut to_node = Vec::with_capacity(range.len());
+        let mut from_node = Vec::with_capacity(range.len());
+        for i in range {
+            let down = LinkChannel::new_pair(board_out.clone(), self.inp[i][3].clone());
+            let mut up = LinkChannel::new_pair(self.out[i][3].clone(), board_in.clone());
+            up.set_status(down.status().clone());
+            nodes[i].wire_system(up.clone(), down.clone());
+            to_node.push(down);
+            from_node.push(up);
+        }
+        SystemBoard::new(
+            m as u32,
+            h.clone(),
+            to_node,
+            from_node,
+            board_out,
+            board_in,
+            Disk::new(cfg.disk_rate),
+        )
+    }
+}
+
+/// Receive meters in the historical attribution: message and byte counts
+/// on the transmitter `tx`, latency on the receiver `rx`.
+pub(crate) fn legacy_rx(tx: &Node, rx: &Node) -> ts_link::RxMeters {
+    ts_link::RxMeters {
+        latency_ns: Some(rx.meters().link_latency_ns.clone()),
+        ..tx.meters().link_rx()
+    }
+}
+
 /// Fault-injection facade returned by [`Machine::faults`]: breaks (and
 /// repairs) hardware, booking each event into the fault metrics.
 pub struct FaultInjector<'m> {
@@ -958,7 +909,7 @@ impl FaultInjector<'_> {
     pub fn link_down(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.set_link_down(dim as usize);
-        n.metrics().inc("fault.link_down");
+        n.meters().count("fault/link_down", 1);
     }
 
     /// Repair the physical link carrying cube dimension `dim` at `node`
@@ -967,7 +918,7 @@ impl FaultInjector<'_> {
     pub fn link_up(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.set_link_up(dim as usize);
-        n.metrics().inc("fault.link_repair");
+        n.meters().count("fault/link_repair", 1);
     }
 
     /// Crash `node`: its control processor is dead and every wired link
@@ -975,7 +926,7 @@ impl FaultInjector<'_> {
     pub fn crash(&self, node: NodeId) {
         let n = &self.m.nodes[node as usize];
         n.crash();
-        n.metrics().inc("fault.node_crash");
+        n.meters().count("fault/node_crash", 1);
     }
 
     /// Flip `bit` of the word at `addr` in `node`'s memory without fixing
@@ -985,7 +936,7 @@ impl FaultInjector<'_> {
         n.mem_mut()
             .inject_bit_flip(addr, bit)
             .expect("mem-flip address out of range");
-        n.metrics().inc("fault.mem_flip");
+        n.meters().count("fault/mem_flip", 1);
     }
 
     /// True while the physical link on `(node, dim)` is alive.
@@ -999,7 +950,7 @@ impl FaultInjector<'_> {
     pub fn wire_corrupt(&self, node: NodeId, dim: u32, flit_bit: u64) {
         let n = &self.m.nodes[node as usize];
         n.queue_wire_corrupt(dim as usize, flit_bit);
-        n.metrics().inc("fault.wire_corrupt");
+        n.meters().count("fault/wire_corrupt", 1);
     }
 
     /// Queue a transient flit loss on `node`'s next outbound message on
@@ -1007,7 +958,7 @@ impl FaultInjector<'_> {
     pub fn flit_drop(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.queue_flit_drop(dim as usize);
-        n.metrics().inc("fault.flit_drop");
+        n.meters().count("fault/flit_drop", 1);
     }
 
     /// Flap the link on `(node, dim)`: down now, self-healing after
@@ -1016,7 +967,7 @@ impl FaultInjector<'_> {
     pub fn link_flap(&self, node: NodeId, dim: u32, down_for: ts_sim::Dur) {
         let n = &self.m.nodes[node as usize];
         n.flap_link(dim as usize, down_for);
-        n.metrics().inc("fault.link_flap");
+        n.meters().count("fault/link_flap", 1);
     }
 
     /// Fault `module`'s disk controller: transfers in flight (and any
@@ -1024,13 +975,15 @@ impl FaultInjector<'_> {
     /// aborts. Heals with [`FaultInjector::disk_heal`] or a reboot.
     pub fn disk_fault(&self, module: usize) {
         self.m.boards[module].disk.fail();
-        self.m.nodes[module * 8].metrics().inc("fault.disk");
+        self.m.nodes[module * 8].meters().count("fault/disk", 1);
     }
 
     /// Repair `module`'s disk controller.
     pub fn disk_heal(&self, module: usize) {
         self.m.boards[module].disk.heal();
-        self.m.nodes[module * 8].metrics().inc("fault.disk_repair");
+        self.m.nodes[module * 8]
+            .meters()
+            .count("fault/disk_repair", 1);
     }
 
     /// Flap `module`'s outbound system-ring link: down now, self-healing
@@ -1047,7 +1000,9 @@ impl FaultInjector<'_> {
             h.sleep(down_for).await;
             status.set_up();
         });
-        self.m.nodes[module * 8].metrics().inc("fault.ring_flap");
+        self.m.nodes[module * 8]
+            .meters()
+            .count("fault/ring_flap", 1);
     }
 }
 

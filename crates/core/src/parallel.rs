@@ -61,13 +61,13 @@ use std::rc::Rc;
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use ts_link::{BoundaryEnvelope, BoundaryOutbox, LinkChannel, Wire};
+use ts_link::{BoundaryEnvelope, BoundaryOutbox, LinkChannel};
 use ts_node::{Node, NodeCtx};
-use ts_sim::{Metrics, MetricsRegistry, Sim, Time};
+use ts_sim::{MetricsRegistry, Sim, Time};
 
-use crate::report::{HistSnapshot, NodeRow, ReportData};
-use crate::system::{Disk, SystemBoard};
-use crate::{Machine, MachineCfg};
+use crate::report::ReportData;
+use crate::system::SystemBoard;
+use crate::{legacy_rx, LinkEngines, Machine, MachineCfg};
 
 /// Parallel-backend configuration.
 #[derive(Clone, Copy, Debug)]
@@ -221,7 +221,6 @@ struct ShardMachine {
     channels: HashMap<u64, LinkChannel>,
     outbox: BoundaryOutbox,
     lo: u32,
-    #[allow(dead_code)]
     registry: MetricsRegistry,
 }
 
@@ -427,11 +426,11 @@ where
         match *f {
             PlannedFault::WireCorrupt { dim, flit_bit, .. } => {
                 n.queue_wire_corrupt(dim as usize, flit_bit);
-                n.metrics().inc("fault.wire_corrupt");
+                n.meters().count("fault/wire_corrupt", 1);
             }
             PlannedFault::FlitDrop { dim, .. } => {
                 n.queue_flit_drop(dim as usize);
-                n.metrics().inc("fault.flit_drop");
+                n.meters().count("fault/flit_drop", 1);
             }
         }
     }
@@ -520,7 +519,7 @@ where
     let prof = sm.sim.profile();
     ShardOutcome {
         results: handles.into_iter().map(|h| h.try_take()).collect(),
-        report: shard_report_data(&sm),
+        report: ReportData::capture(sm.sim.now(), &sm.nodes, &sm.boards, &sm.registry),
         final_ps: sm.sim.now().as_ps(),
         live,
         events: prof.timer_events,
@@ -544,116 +543,59 @@ fn build_shard(cfg: &MachineCfg, shard: u32, local_bits: u32) -> ShardMachine {
         .map(|id| Node::with_registry(id, cfg.node, h.clone(), &registry))
         .collect();
 
-    let wires_out: Vec<Vec<Wire>> = (lo..hi)
-        .map(|_| {
-            (0..4)
-                .map(|_| Wire::new("link.out", cfg.node.link))
-                .collect()
-        })
-        .collect();
-    let wires_in: Vec<Vec<Wire>> = (lo..hi)
-        .map(|_| {
-            (0..4)
-                .map(|_| Wire::new("link.in", cfg.node.link))
-                .collect()
-        })
-        .collect();
-
+    let engines = LinkEngines::new(nodes.len(), cfg.node.link);
     let outbox: BoundaryOutbox = Rc::new(RefCell::new(Vec::new()));
     let mut channels: HashMap<u64, LinkChannel> = HashMap::new();
 
-    // Hypercube edges: dimension d rides physical link d mod 4, exactly as
-    // in `Machine::build`. Dimensions below `local_bits` stay inside the
-    // shard and get the ordinary rendezvous pair; higher dimensions cross
-    // to the neighbor shard and get a boundary half on each side.
+    // Dimensions below `local_bits` stay inside the shard and are wired
+    // exactly as in `Machine::build`; higher dimensions cross to the
+    // neighbor shard and get a boundary half on each side.
     for d in 0..cfg.dim {
         let l = (d % 4) as usize;
         for a in lo..hi {
             let b = cube.neighbor(a, d);
             if b >> local_bits == shard {
-                if a > b {
-                    continue;
+                if a < b {
+                    engines.wire_edge(&nodes, d, li(a), li(b));
                 }
-                let (ai, bi) = (li(a), li(b));
-                let mut ab =
-                    LinkChannel::new_pair(wires_out[ai][l].clone(), wires_in[bi][l].clone());
-                ab.set_metrics(nodes[ai].metrics().clone());
-                // Message latency is booked at delivery, on the receiver.
-                ab.set_latency_histogram(nodes[bi].meters().link_latency_ns.clone());
-                let mut ba =
-                    LinkChannel::new_pair(wires_out[bi][l].clone(), wires_in[ai][l].clone());
-                ba.set_metrics(nodes[bi].metrics().clone());
-                ba.set_latency_histogram(nodes[ai].meters().link_latency_ns.clone());
-                let (ma, mb) = (nodes[ai].meters().clone(), nodes[bi].meters().clone());
-                ab.set_transport_meters(
-                    ma.link_retransmits.clone(),
-                    ma.link_crc_errors.clone(),
-                    ma.link_escalations.clone(),
-                );
-                ba.set_transport_meters(
-                    mb.link_retransmits.clone(),
-                    mb.link_crc_errors.clone(),
-                    mb.link_escalations.clone(),
-                );
-                ba.set_status(ab.status().clone());
-                nodes[ai].wire_dim(d as usize, ab.clone(), ba.clone());
-                nodes[bi].wire_dim(d as usize, ba, ab);
-            } else {
-                let peer = b >> local_bits;
-                // Outbound half: `a` transmits to remote `b` on edge (a,d).
-                let mut out = LinkChannel::new_boundary_tx(
-                    wires_out[li(a)][l].clone(),
-                    edge_key(a, d),
-                    peer,
-                    outbox.clone(),
-                );
-                // Hot link counters land on the transmitter's metrics in
-                // the sequential wiring; keep that here.
-                out.set_metrics(nodes[li(a)].metrics().clone());
-                // Inbound half: remote `b` transmits to `a` on edge (b,d).
-                let inp = LinkChannel::new_boundary_rx(
-                    wires_in[li(a)][l].clone(),
-                    edge_key(b, d),
-                    peer,
-                    outbox.clone(),
-                );
-                inp.set_latency_histogram(nodes[li(a)].meters().link_latency_ns.clone());
-                channels.insert(edge_key(a, d), out.clone());
-                channels.insert(edge_key(b, d), inp.clone());
-                nodes[li(a)].wire_dim(d as usize, out, inp);
+                continue;
             }
+            let peer = b >> local_bits;
+            let node = &nodes[li(a)];
+            // Outbound half: `a` transmits to remote `b` on edge (a,d).
+            let mut out = LinkChannel::new_boundary_tx(
+                engines.out[li(a)][l].clone(),
+                edge_key(a, d),
+                peer,
+                outbox.clone(),
+            );
+            out.set_meters(node.meters().link_tx(), legacy_rx(node, node));
+            // Inbound half: remote `b` transmits to `a` on edge (b,d).
+            let mut inp = LinkChannel::new_boundary_rx(
+                engines.inp[li(a)][l].clone(),
+                edge_key(b, d),
+                peer,
+                outbox.clone(),
+            );
+            let rx = ts_link::RxMeters {
+                latency_ns: Some(node.meters().link_latency_ns.clone()),
+                ..Default::default()
+            };
+            inp.set_meters(Default::default(), rx);
+            channels.insert(edge_key(a, d), out.clone());
+            channels.insert(edge_key(b, d), inp.clone());
+            node.wire_dim(d as usize, out, inp);
         }
     }
 
     // System boards: shards are whole numbers of 8-node modules, so every
     // board is internal to exactly one shard.
-    let m_lo = (lo / 8) as usize;
-    let m_hi = (hi / 8) as usize;
-    let mut boards = Vec::with_capacity(m_hi - m_lo);
-    for m in m_lo..m_hi {
-        let board_out = Wire::new("board.out", cfg.node.link);
-        let board_in = Wire::new("board.in", cfg.node.link);
-        let mut to_node = Vec::new();
-        let mut from_node = Vec::new();
-        for id in (m * 8) as u32..(m * 8 + 8) as u32 {
-            let i = li(id);
-            let down = LinkChannel::new_pair(board_out.clone(), wires_in[i][3].clone());
-            let mut up = LinkChannel::new_pair(wires_out[i][3].clone(), board_in.clone());
-            up.set_status(down.status().clone());
-            nodes[i].wire_system(up.clone(), down.clone());
-            to_node.push(down);
-            from_node.push(up);
-        }
-        boards.push(SystemBoard::new(
-            m as u32,
-            h.clone(),
-            to_node,
-            from_node,
-            board_out,
-            board_in,
-            Disk::new(cfg.disk_rate),
-        ));
-    }
+    let boards: Vec<SystemBoard> = (lo / 8..hi / 8)
+        .map(|m| {
+            let first = li(m * 8);
+            engines.system_board(m as usize, &nodes, first..first + 8, &h, cfg)
+        })
+        .collect();
     // Ring links between consecutive boards of this shard. The ring stays
     // open at shard boundaries: checkpoint traffic over the global ring is
     // unsupported on the parallel backend.
@@ -675,44 +617,4 @@ fn build_shard(cfg: &MachineCfg, shard: u32, local_bits: u32) -> ShardMachine {
         lo,
         registry,
     }
-}
-
-/// Capture this shard's partial of the report: same loops as
-/// `Machine::report_data`, restricted to the shard's nodes and boards.
-fn shard_report_data(sm: &ShardMachine) -> ReportData {
-    let n = sm.nodes.len();
-    let mut data = ReportData {
-        now_ps: sm.sim.now().as_ps(),
-        rows: Vec::with_capacity(n),
-        vec_len: Vec::with_capacity(n),
-        latency: Vec::with_capacity(n),
-        flaps: Vec::with_capacity(n),
-        ..ReportData::default()
-    };
-    let flat = Metrics::new();
-    for node in &sm.nodes {
-        let m = node.metrics();
-        let mt = node.meters();
-        data.rows.push(NodeRow {
-            id: node.id,
-            vec_busy_ps: mt.vec_busy.get().as_ps(),
-            cp_busy_ps: mt.cp_busy.get().as_ps(),
-            vec_flops: mt.vec_flops.get(),
-            sent_b: m.get("link.bytes_sent"),
-            recv_b: m.get("link.bytes_recv"),
-        });
-        data.vec_len.push(HistSnapshot::of(&mt.vec_len));
-        data.latency.push(HistSnapshot::of(&mt.link_latency_ns));
-        data.flaps.push(HistSnapshot::of(&mt.link_flap_us));
-        Machine::fold_node_metrics(&flat, node);
-    }
-    data.counters = flat.counters();
-    data.durations = flat.durations();
-    data.disk_busy_ps = sm
-        .boards
-        .iter()
-        .map(|b| b.disk.busy_total().as_ps())
-        .collect();
-    data.ring_bytes = sm.boards.iter().map(|b| b.ring_bytes()).collect();
-    data
 }

@@ -2,16 +2,20 @@
 //!
 //! [`ReportData`] is a plain-data capture of everything
 //! `Machine::utilization_report` prints: per-node rows, per-node histogram
-//! snapshots, the merged flat metrics, and per-board disk/ring tallies. The
-//! sequential backend captures it from live objects; the parallel backend
-//! captures one partial per shard (plain `Send` data, so it crosses the
-//! thread boundary) and concatenates them in shard order. Both then render
-//! through the same code path, so a parallel run's report is byte-identical
-//! to the sequential run's — including the floating-point reductions, which
-//! are re-run in node/board order rather than pre-merged per shard.
+//! snapshots, the machine-wide registry rollup, and per-board disk/ring
+//! tallies. [`ReportData::capture`] takes it from live nodes and boards —
+//! the whole machine on the sequential backend, one partial per shard on
+//! the parallel backend (plain `Send` data, so it crosses the thread
+//! boundary), concatenated in shard order. Both then render through the
+//! same code path, so a parallel run's report is byte-identical to the
+//! sequential run's — including the floating-point reductions, which are
+//! re-run in node/board order rather than pre-merged per shard.
 
+use ts_node::Node;
 use ts_sim::metrics::HIST_BUCKETS;
-use ts_sim::{Dur, Histogram, Metrics, Time};
+use ts_sim::{Dur, Histogram, Metrics, MetricsRegistry, Time};
+
+use crate::system::SystemBoard;
 
 /// A plain-data snapshot of one [`Histogram`]: exactly the values the
 /// report's merge loop reads (bucket counts, total, and the histogram's own
@@ -49,9 +53,9 @@ pub struct NodeRow {
     pub cp_busy_ps: u64,
     /// Floating-point operations retired.
     pub vec_flops: u64,
-    /// Link bytes sent (`link.bytes_sent`).
+    /// Link bytes sent (`node/{id}/link/bytes_sent`).
     pub sent_b: u64,
-    /// Link bytes received (`link.bytes_recv`).
+    /// Link bytes received (`node/{id}/link/bytes_recv`).
     pub recv_b: u64,
 }
 
@@ -70,10 +74,8 @@ pub struct ReportData {
     pub latency: Vec<HistSnapshot>,
     /// Per-node link-flap histograms (µs), in node order.
     pub flaps: Vec<HistSnapshot>,
-    /// Merged flat counters (the legacy-keyed bundle), key order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Merged flat durations, key order.
-    pub durations: Vec<(&'static str, Dur)>,
+    /// Machine-wide counter and busy-time totals by `unit.metric`.
+    pub metrics: Metrics,
     /// Per-board disk busy time, picoseconds, in board order.
     pub disk_busy_ps: Vec<u64>,
     /// Per-board ring bytes pushed, in board order.
@@ -86,16 +88,55 @@ const _: () = {
 };
 
 impl ReportData {
+    /// Capture `nodes` and `boards` at `now`, with the totals of
+    /// `registry` (the registry those nodes meter into). The peak rate is
+    /// left for the caller, which knows the whole machine.
+    pub fn capture(
+        now: Time,
+        nodes: &[Node],
+        boards: &[SystemBoard],
+        registry: &MetricsRegistry,
+    ) -> ReportData {
+        let n = nodes.len();
+        let mut data = ReportData {
+            now_ps: now.as_ps(),
+            rows: Vec::with_capacity(n),
+            vec_len: Vec::with_capacity(n),
+            latency: Vec::with_capacity(n),
+            flaps: Vec::with_capacity(n),
+            metrics: registry.rollup("node"),
+            ..ReportData::default()
+        };
+        for node in nodes {
+            let mt = node.meters();
+            data.rows.push(NodeRow {
+                id: node.id,
+                vec_busy_ps: mt.vec_busy.get().as_ps(),
+                cp_busy_ps: mt.cp_busy.get().as_ps(),
+                vec_flops: mt.vec_flops.get(),
+                sent_b: mt.link_bytes_sent.get(),
+                recv_b: mt.link_bytes_recv.get(),
+            });
+            data.vec_len.push(HistSnapshot::of(&mt.vec_len));
+            data.latency.push(HistSnapshot::of(&mt.link_latency_ns));
+            data.flaps.push(HistSnapshot::of(&mt.link_flap_us));
+        }
+        for b in boards {
+            data.disk_busy_ps.push(b.disk.busy_total().as_ps());
+            data.ring_bytes.push(b.ring_bytes());
+        }
+        data
+    }
+
     /// Concatenate shard partials (given in shard = ascending-node order)
     /// into one machine-wide capture. Node and board vectors concatenate;
-    /// flat metrics merge by key (integer adds, order-independent); the
-    /// final time is the maximum.
+    /// totals merge by key (integer adds, order-independent); the final
+    /// time is the maximum.
     pub fn merge(parts: Vec<ReportData>, peak_mflops: f64) -> ReportData {
         let mut out = ReportData {
             peak_mflops,
             ..ReportData::default()
         };
-        let flat = Metrics::new();
         for p in parts {
             out.now_ps = out.now_ps.max(p.now_ps);
             out.rows.extend(p.rows);
@@ -104,28 +145,9 @@ impl ReportData {
             out.flaps.extend(p.flaps);
             out.disk_busy_ps.extend(p.disk_busy_ps);
             out.ring_bytes.extend(p.ring_bytes);
-            for (k, v) in p.counters {
-                flat.add(k, v);
-            }
-            for (k, d) in p.durations {
-                flat.add_time(k, d);
-            }
+            out.metrics.merge(&p.metrics);
         }
-        out.counters = flat.counters();
-        out.durations = flat.durations();
         out
-    }
-
-    /// Rebuild the flat metrics bundle for keyed lookups.
-    fn flat(&self) -> Metrics {
-        let m = Metrics::new();
-        for &(k, v) in &self.counters {
-            m.add(k, v);
-        }
-        for &(k, d) in &self.durations {
-            m.add_time(k, d);
-        }
-        m
     }
 
     /// Achieved MFLOPS over the captured run.
@@ -197,7 +219,7 @@ impl ReportData {
         // Fault and recovery story, when there is one: faults injected,
         // how the fabric and collectives coped, and what the supervisor's
         // healing cost.
-        let m = self.flat();
+        let m = &self.metrics;
         // Reliable-transport story: retransmissions absorbed below the
         // routing layer, and the flap outages that drove some of them.
         let retrans = m.get("link.retransmits");

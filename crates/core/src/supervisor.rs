@@ -383,16 +383,19 @@ impl Supervisor {
         report.total = job(base, &m, mark);
         // Book the supervisor's own accounting into the machine's metrics
         // so `Machine::utilization_report` can show the recovery story.
-        let meters = m.nodes[0].metrics();
-        meters.add("supervisor.reboots", report.reboots as u64);
-        meters.add("supervisor.snapshots", report.snapshots as u64);
-        meters.add("supervisor.delta_snapshots", report.delta_snapshots as u64);
-        meters.add(
-            "supervisor.torn_checkpoints",
+        let meters = m.nodes[0].meters();
+        meters.count("supervisor/reboots", report.reboots as u64);
+        meters.count("supervisor/snapshots", report.snapshots as u64);
+        meters.count("supervisor/delta_snapshots", report.delta_snapshots as u64);
+        meters.count(
+            "supervisor/torn_checkpoints",
             report.torn_checkpoints as u64,
         );
-        meters.add("supervisor.watchdog_trips", report.watchdog_trips as u64);
-        meters.add_time("supervisor.rework", report.rework);
+        meters.count("supervisor/watchdog_trips", report.watchdog_trips as u64);
+        meters
+            .scope()
+            .busy_time("supervisor/rework")
+            .add(report.rework);
         Ok((m, report))
     }
 }

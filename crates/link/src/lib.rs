@@ -36,8 +36,8 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use ts_sim::{
-    select2, Counter, Dur, Either, Histogram, Metrics, OneShot, Rendezvous, Resource, SimHandle,
-    Time, Tracer, TrackId,
+    select2, Counter, Dur, Either, Histogram, OneShot, Rendezvous, Resource, SimHandle, Time,
+    Tracer, TrackId,
 };
 
 /// Line rate and framing of one serial link.
@@ -271,24 +271,10 @@ enum Impair {
 
 /// Per-direction reliable-transport state, shared by every clone of one
 /// sublink.
+#[derive(Default)]
 struct TransportState {
     cfg: TransportCfg,
     pending: VecDeque<Impair>,
-    retransmits: Counter,
-    crc_errors: Counter,
-    escalations: Counter,
-}
-
-impl Default for TransportState {
-    fn default() -> Self {
-        TransportState {
-            cfg: TransportCfg::default(),
-            pending: VecDeque::new(),
-            retransmits: Counter::new(),
-            crc_errors: Counter::new(),
-            escalations: Counter::new(),
-        }
-    }
 }
 
 /// One direction of one physical serial link: a FIFO bandwidth server with
@@ -689,43 +675,39 @@ impl BoundaryState {
     }
 }
 
-/// Optional telemetry shared by every clone of one sublink: an end-to-end
-/// message-latency histogram and a trace flow arrow per delivered message.
-#[derive(Default)]
-struct LinkTelemetry {
-    latency_ns: Option<Histogram>,
-    flow: Option<(Tracer, TrackId, TrackId)>,
+/// The transmitting node's meters one sublink books into: messages and
+/// payload bytes sent, plus the reliable transport's recovery work
+/// (retransmission is the sender's job, and corruption is injected at its
+/// end).
+#[derive(Clone, Default)]
+pub struct TxMeters {
+    /// Messages sent.
+    pub msgs: Counter,
+    /// Payload bytes sent.
+    pub bytes: Counter,
+    /// Flits retransmitted by go-back-N recovery.
+    pub retransmits: Counter,
+    /// Flits whose CRC-16 check failed.
+    pub crc_errors: Counter,
+    /// Retransmit budgets exhausted, condemning the link.
+    pub escalations: Counter,
 }
 
-/// Hot-path handles into the channel's [`Metrics`] bundle, pre-registered
-/// when the bundle is attached so per-message accounting is four cell bumps
-/// instead of four `BTreeMap` lookups.
-struct HotCounters {
-    msgs_sent: Rc<Cell<u64>>,
-    bytes_sent: Rc<Cell<u64>>,
-    msgs_recv: Rc<Cell<u64>>,
-    bytes_recv: Rc<Cell<u64>>,
+/// The receiving node's meters one sublink books into at delivery.
+#[derive(Clone, Default)]
+pub struct RxMeters {
+    /// Messages delivered.
+    pub msgs: Counter,
+    /// Payload bytes delivered.
+    pub bytes: Counter,
+    /// End-to-end message latency in ns (sender commit → delivery).
+    pub latency_ns: Option<Histogram>,
 }
 
-impl HotCounters {
-    fn of(metrics: &Metrics) -> HotCounters {
-        HotCounters {
-            msgs_sent: metrics.counter_cell("link.msgs_sent"),
-            bytes_sent: metrics.counter_cell("link.bytes_sent"),
-            msgs_recv: metrics.counter_cell("link.msgs_recv"),
-            bytes_recv: metrics.counter_cell("link.bytes_recv"),
-        }
-    }
-
-    fn book_sent(&self, bytes: u64) {
-        self.msgs_sent.set(self.msgs_sent.get() + 1);
-        self.bytes_sent.set(self.bytes_sent.get() + bytes);
-    }
-
-    fn book_recv(&self, bytes: u64) {
-        self.msgs_recv.set(self.msgs_recv.get() + 1);
-        self.bytes_recv.set(self.bytes_recv.get() + bytes);
-    }
+/// Book one message of `bytes` payload bytes into a `(msgs, bytes)` pair.
+fn book(msgs: &Counter, bytes_meter: &Counter, bytes: usize) {
+    msgs.inc();
+    bytes_meter.add(bytes as u64);
 }
 
 /// Shared state of one sublink. Everything — both endpoints and every clone
@@ -736,10 +718,11 @@ struct ChanInner {
     rv: Rendezvous<Packet>,
     tx_wire: Wire,
     rx_wire: Wire,
-    metrics: Metrics,
-    hot: HotCounters,
+    tx: TxMeters,
+    rx: RxMeters,
     status: LinkStatus,
-    telem: RefCell<LinkTelemetry>,
+    /// Trace flow arrow `(tracer, from, to)` drawn per delivered message.
+    flow: RefCell<Option<(Tracer, TrackId, TrackId)>>,
     transport: RefCell<TransportState>,
     /// Set when the far endpoint lives on another shard: `send`/`recv`
     /// replay the rendezvous over [`BoundaryEnvelope`]s instead of `rv`.
@@ -762,40 +745,25 @@ impl LinkChannel {
     /// Create a sublink whose two ends share one `wire` (unit tests and
     /// simple point-to-point setups).
     pub fn new(wire: Wire) -> LinkChannel {
-        LinkChannel::assemble(wire.clone(), wire, Metrics::new())
+        LinkChannel::assemble(wire.clone(), wire, None)
     }
 
     /// Create a sublink between two distinct link engines: the sender's
     /// output wire and the receiver's input wire.
     pub fn new_pair(tx_wire: Wire, rx_wire: Wire) -> LinkChannel {
-        LinkChannel::assemble(tx_wire, rx_wire, Metrics::new())
+        LinkChannel::assemble(tx_wire, rx_wire, None)
     }
 
-    /// Create a sublink with shared metrics (the node's counters).
-    pub fn with_metrics(wire: Wire, metrics: Metrics) -> LinkChannel {
-        LinkChannel::assemble(wire.clone(), wire, metrics)
-    }
-
-    fn assemble(tx_wire: Wire, rx_wire: Wire, metrics: Metrics) -> LinkChannel {
-        Self::assemble_full(tx_wire, rx_wire, metrics, None)
-    }
-
-    fn assemble_full(
-        tx_wire: Wire,
-        rx_wire: Wire,
-        metrics: Metrics,
-        boundary: Option<BoundaryState>,
-    ) -> LinkChannel {
-        let hot = HotCounters::of(&metrics);
+    fn assemble(tx_wire: Wire, rx_wire: Wire, boundary: Option<BoundaryState>) -> LinkChannel {
         LinkChannel {
             inner: Rc::new(ChanInner {
                 rv: Rendezvous::new(),
                 tx_wire,
                 rx_wire,
-                metrics,
-                hot,
+                tx: TxMeters::default(),
+                rx: RxMeters::default(),
                 status: LinkStatus::new(),
-                telem: RefCell::new(LinkTelemetry::default()),
+                flow: RefCell::new(None),
                 transport: RefCell::new(TransportState::default()),
                 boundary,
             }),
@@ -812,7 +780,7 @@ impl LinkChannel {
         outbox: BoundaryOutbox,
     ) -> LinkChannel {
         let boundary = BoundaryState::new(edge, peer_shard, true, outbox);
-        Self::assemble_full(tx_wire.clone(), tx_wire, Metrics::new(), Some(boundary))
+        Self::assemble(tx_wire.clone(), tx_wire, Some(boundary))
     }
 
     /// Create the **receiving half** of a shard-boundary sublink: the local
@@ -824,7 +792,7 @@ impl LinkChannel {
         outbox: BoundaryOutbox,
     ) -> LinkChannel {
         let boundary = BoundaryState::new(edge, peer_shard, false, outbox);
-        Self::assemble_full(rx_wire.clone(), rx_wire, Metrics::new(), Some(boundary))
+        Self::assemble(rx_wire.clone(), rx_wire, Some(boundary))
     }
 
     /// True when this sublink's far endpoint lives on another shard.
@@ -837,40 +805,42 @@ impl LinkChannel {
         self.inner.boundary.as_ref().map(|b| b.edge)
     }
 
-    /// Attach a metrics bundle after construction. Must run before the
-    /// channel is cloned out to its endpoints (the wiring phase), while
-    /// this handle still owns the sublink exclusively.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
+    /// Attach the meters this sublink books into: the transmitting node's
+    /// `tx` and the receiving node's `rx`. Must run before the channel is
+    /// cloned out to its endpoints (the wiring phase), while this handle
+    /// still owns the sublink exclusively. A channel without attached
+    /// meters books into private counters.
+    pub fn set_meters(&mut self, tx: TxMeters, rx: RxMeters) {
         let inner = Rc::get_mut(&mut self.inner)
-            .expect("set_metrics must run before the channel is cloned out");
-        inner.hot = HotCounters::of(&metrics);
-        inner.metrics = metrics;
-    }
-
-    /// Record every delivered message's end-to-end latency (sender commit →
-    /// receiver completion, in nanoseconds) into `hist`. The telemetry slot
-    /// is shared across clones, so enabling it on either end covers both.
-    pub fn set_latency_histogram(&self, hist: Histogram) {
-        self.inner.telem.borrow_mut().latency_ns = Some(hist);
+            .expect("set_meters must run before the channel is cloned out");
+        inner.tx = tx;
+        inner.rx = rx;
     }
 
     /// Emit a trace flow arrow from track `from` to track `to` for every
-    /// delivered message. Shared across clones, like the histogram.
+    /// delivered message. Shared across clones, so enabling it on either
+    /// end covers both.
     pub fn enable_flow_trace(&self, tracer: Tracer, from: TrackId, to: TrackId) {
-        self.inner.telem.borrow_mut().flow = Some((tracer, from, to));
+        *self.inner.flow.borrow_mut() = Some((tracer, from, to));
     }
 
-    /// Receive-side accounting shared by every delivery path: legacy
-    /// counters, the optional latency histogram and the optional flow arrow.
+    /// Receive-side accounting shared by every delivery path: the
+    /// receiver's counters, its latency histogram and the optional flow
+    /// arrow.
     fn book_recv(&self, sent_at: Time, end: Time, bytes: usize) {
-        self.inner.hot.book_recv(bytes as u64);
-        let telem = self.inner.telem.borrow();
-        if let Some(hist) = &telem.latency_ns {
+        let rx = &self.inner.rx;
+        book(&rx.msgs, &rx.bytes, bytes);
+        if let Some(hist) = &rx.latency_ns {
             hist.observe(end.since(sent_at).as_ns());
         }
-        if let Some((tracer, from, to)) = &telem.flow {
+        if let Some((tracer, from, to)) = &*self.inner.flow.borrow() {
             tracer.flow(*from, *to, sent_at, end);
         }
+    }
+
+    /// Send-side accounting, booked when the sender commits.
+    fn book_sent(&self, bytes: usize) {
+        book(&self.inner.tx.msgs, &self.inner.tx.bytes, bytes);
     }
 
     /// The shared health flag of the physical link under this sublink.
@@ -907,7 +877,7 @@ impl LinkChannel {
         // DMA engine setup on the sending side.
         h.sleep(self.inner.tx_wire.params.dma_startup).await;
         let done = take_done();
-        self.inner.hot.book_sent(bytes as u64);
+        self.book_sent(bytes);
         self.inner
             .rv
             .send(Packet {
@@ -951,7 +921,7 @@ impl LinkChannel {
         debug_assert!(b.is_tx, "send on the receiving half of a boundary link");
         let bytes = words.len() * 4;
         h.sleep(self.inner.tx_wire.params.dma_startup).await;
-        self.inner.hot.book_sent(bytes as u64);
+        self.book_sent(bytes);
         let seq = b.next_seq.get();
         b.next_seq.set(seq + 1);
         let done: OneShot<Time> = OneShot::new();
@@ -1006,11 +976,9 @@ impl LinkChannel {
         self.inner.rx_wire.book(bytes);
         self.inner.rx_wire.resource().apply_grant(start, end, dur);
         h.sleep_until(end).await;
-        // Sender-side legacy counters (msgs_recv on the transmitting
-        // node's bundle) are booked by the tx shard at Request time; here
-        // only the receiver-resident telemetry observes.
-        let telem = self.inner.telem.borrow();
-        if let Some(hist) = &telem.latency_ns {
+        // Receive counters are booked by the tx shard at Request time; here
+        // only the receiver's latency histogram observes.
+        if let Some(hist) = &self.inner.rx.latency_ns {
             hist.observe(end.since(sent_at).as_ns());
         }
         words
@@ -1051,9 +1019,9 @@ impl LinkChannel {
                 let end = start + dur;
                 self.inner.tx_wire.book(bytes as usize);
                 tx_res.apply_grant(start, end, dur);
-                // The sequential receiver books these into the transmitting
-                // node's bundle (the channel's metrics); same attribution.
-                self.inner.hot.book_recv(bytes);
+                // The sequential receiver books these into the tx half's
+                // receive counters; same attribution.
+                book(&self.inner.rx.msgs, &self.inner.rx.bytes, bytes as usize);
                 if let Some(done) = b.granted.borrow_mut().remove(&env.seq) {
                     done.send(end);
                 } else {
@@ -1106,20 +1074,6 @@ impl LinkChannel {
         self.inner.transport.borrow().cfg
     }
 
-    /// Route retransmit/CRC/escalation counts into pre-registered meters
-    /// (the sending node's, since retransmission is the sender's work).
-    pub fn set_transport_meters(
-        &self,
-        retransmits: Counter,
-        crc_errors: Counter,
-        escalations: Counter,
-    ) {
-        let mut tr = self.inner.transport.borrow_mut();
-        tr.retransmits = retransmits;
-        tr.crc_errors = crc_errors;
-        tr.escalations = escalations;
-    }
-
     /// Queue a transient wire fault: one payload bit of the next message on
     /// this direction is flipped in flight. The receiver's CRC catches it
     /// and the go-back-N protocol recovers.
@@ -1156,17 +1110,17 @@ impl LinkChannel {
 
     /// Flits retransmitted on this direction so far.
     pub fn transport_retransmits(&self) -> u64 {
-        self.inner.transport.borrow().retransmits.get()
+        self.inner.tx.retransmits.get()
     }
 
     /// CRC errors detected on this direction so far.
     pub fn transport_crc_errors(&self) -> u64 {
-        self.inner.transport.borrow().crc_errors.get()
+        self.inner.tx.crc_errors.get()
     }
 
     /// Budget-exhaustion escalations on this direction so far.
     pub fn transport_escalations(&self) -> u64 {
-        self.inner.transport.borrow().escalations.get()
+        self.inner.tx.escalations.get()
     }
 
     /// Complete the framed transfer of `words` on both link engines,
@@ -1216,7 +1170,7 @@ impl LinkChannel {
                         // bit flip under CRC-16): delivered as-is.
                         continue;
                     }
-                    tr.crc_errors.inc();
+                    self.inner.tx.crc_errors.inc();
                     // NAK turnaround: one framed byte each way.
                     idle += byte_time * 2;
                     fi
@@ -1233,12 +1187,12 @@ impl LinkChannel {
             // Go back N: resend from the failed flit, at most `window`.
             let resent = (nflits - rewind_to).min(cfg.window.max(1));
             resent_bytes += resent * (flit_words * 4 + Flit::OVERHEAD_BYTES);
-            tr.retransmits.add(resent as u64);
+            self.inner.tx.retransmits.add(resent as u64);
         }
 
         let exhausted = rounds > cfg.budget;
         if exhausted {
-            tr.escalations.inc();
+            self.inner.tx.escalations.inc();
         }
         drop(tr);
 
@@ -1300,7 +1254,7 @@ impl LinkChannel {
         };
         match select2(self.inner.rv.send(pkt), self.inner.status.watch_down()).await {
             Either::Left(()) => {
-                self.inner.hot.book_sent(bytes as u64);
+                self.book_sent(bytes);
                 let end = done.recv().await;
                 h.sleep_until(end).await;
                 put_done(done);
@@ -1337,11 +1291,6 @@ impl LinkChannel {
     /// True if a sender is currently blocked on this sublink (used by ALT).
     pub fn sender_waiting(&self) -> bool {
         self.inner.rv.sender_waiting()
-    }
-
-    /// This channel's metrics handle.
-    pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
     }
 }
 
@@ -1579,11 +1528,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_traffic() {
+    fn meters_count_traffic() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let m = Metrics::new();
-        let ch = LinkChannel::with_metrics(Wire::new("w", LinkParams::default()), m.clone());
+        let (txm, rxm) = (TxMeters::default(), RxMeters::default());
+        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        ch.set_meters(txm.clone(), rxm.clone());
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();
         sim.spawn(async move { tx.send(&h2, vec![0; 4]).await });
@@ -1591,9 +1541,10 @@ mod tests {
             rx.recv(&h).await;
         });
         assert!(sim.run().quiescent);
-        assert_eq!(m.get("link.msgs_sent"), 1);
-        assert_eq!(m.get("link.bytes_sent"), 16);
-        assert_eq!(m.get("link.bytes_recv"), 16);
+        assert_eq!(txm.msgs.get(), 1);
+        assert_eq!(txm.bytes.get(), 16);
+        assert_eq!(rxm.msgs.get(), 1);
+        assert_eq!(rxm.bytes.get(), 16);
     }
     #[test]
     fn wire_tallies_bytes_and_flits() {
@@ -1617,9 +1568,13 @@ mod tests {
     fn latency_histogram_observes_message_time() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
         let hist = Histogram::new();
-        ch.set_latency_histogram(hist.clone());
+        let rx = RxMeters {
+            latency_ns: Some(hist.clone()),
+            ..RxMeters::default()
+        };
+        ch.set_meters(TxMeters::default(), rx);
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();
         sim.spawn(async move { tx.send(&h2, vec![0xff; 2]).await });
@@ -1981,9 +1936,9 @@ mod tests {
     fn transport_meters_route_into_shared_counters() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
-        let (retrans, crc, esc) = (Counter::new(), Counter::new(), Counter::new());
-        ch.set_transport_meters(retrans.clone(), crc.clone(), esc.clone());
+        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        let meters = TxMeters::default();
+        ch.set_meters(meters.clone(), RxMeters::default());
         ch.inject_corrupt(7);
         let (tx, rx) = (ch.clone(), ch);
         let h2 = h.clone();
@@ -1992,9 +1947,13 @@ mod tests {
             rx.recv(&h).await;
         });
         assert!(sim.run().quiescent);
-        assert_eq!(crc.get(), 1);
-        assert_eq!(retrans.get(), 1, "4-word message is a single flit");
-        assert_eq!(esc.get(), 0);
+        assert_eq!(meters.crc_errors.get(), 1);
+        assert_eq!(
+            meters.retransmits.get(),
+            1,
+            "4-word message is a single flit"
+        );
+        assert_eq!(meters.escalations.get(), 0);
     }
 
     // --- flap ordering (the LinkFlap fault path) ---------------------------

@@ -56,8 +56,9 @@ fn byte_conservation() {
         let sizes: Vec<usize> = (0..rng.range(1, 10)).map(|_| rng.range(1, 100)).collect();
         let mut sim = Sim::new();
         let h = sim.handle();
-        let m = ts_sim::Metrics::new();
-        let ch = LinkChannel::with_metrics(Wire::new("w", LinkParams::default()), m.clone());
+        let (tx_meters, rx_meters) = (ts_link::TxMeters::default(), ts_link::RxMeters::default());
+        let mut ch = LinkChannel::new(Wire::new("w", LinkParams::default()));
+        ch.set_meters(tx_meters.clone(), rx_meters.clone());
         let (tx, rx) = (ch.clone(), ch);
         let sizes2 = sizes.clone();
         let h2 = h.clone();
@@ -77,9 +78,9 @@ fn byte_conservation() {
         assert!(sim.run().quiescent);
         let words: usize = sizes.iter().sum();
         assert_eq!(jh.try_take().unwrap(), words);
-        assert_eq!(m.get("link.bytes_sent"), 4 * words as u64);
-        assert_eq!(m.get("link.bytes_recv"), 4 * words as u64);
-        assert_eq!(m.get("link.msgs_sent"), sizes.len() as u64);
+        assert_eq!(tx_meters.bytes.get(), 4 * words as u64);
+        assert_eq!(rx_meters.bytes.get(), 4 * words as u64);
+        assert_eq!(tx_meters.msgs.get(), sizes.len() as u64);
     }
 }
 

@@ -44,7 +44,7 @@ use ts_fpu::Sf64;
 use ts_link::{LinkChannel, LinkError};
 use ts_mem::{MemCfg, MemError, NodeMemory, GATHER64_TIME, ROW_TIME, ROW_WORDS, WORD_TIME};
 use ts_sim::{
-    BusyTime, Counter, Dur, Histogram, Metrics, MetricsRegistry, MetricsScope, Resource, SimHandle,
+    BusyTime, Counter, Dur, Histogram, MetricsRegistry, MetricsScope, Resource, SimHandle,
 };
 use ts_vec::{VecForm, VecResult, VecUnit};
 
@@ -109,13 +109,15 @@ struct NodeState {
     health: ts_link::LinkStatus,
 }
 
-/// Pre-registered hot-path metric handles for one node's units, living
-/// under `node/{id}/...` in the machine's [`MetricsRegistry`].
+/// Every counter, busy-time and histogram one node keeps, living under
+/// `node/{id}/...` in the machine's [`MetricsRegistry`] — the node's only
+/// accounting.
 ///
-/// Every handle is a shared cell registered once at node construction, so
-/// the per-event cost on the hot path is a single store — no map lookup,
-/// no string, no allocation (the property the bench microbenchmark
-/// verifies against the legacy [`Metrics::inc`] path).
+/// The hot-path handles below are registered once at node construction,
+/// so an update is a single cell store: no map lookup, no string, no
+/// allocation. Cold bookkeeping (faults, router detours, collective
+/// retries, checkpoint and supervisor tallies) registers on first use
+/// through [`NodeMeters::count`] or [`NodeMeters::scope`].
 #[derive(Clone)]
 pub struct NodeMeters {
     scope: MetricsScope,
@@ -141,6 +143,15 @@ pub struct NodeMeters {
     pub link_words_sent: Counter,
     /// Payload words received over cube links (`node/{id}/link/words_recv`).
     pub link_words_recv: Counter,
+    /// Messages this node transmitted on cube links (`node/{id}/link/msgs_sent`).
+    pub link_msgs_sent: Counter,
+    /// Payload bytes this node transmitted on cube links
+    /// (`node/{id}/link/bytes_sent`).
+    pub link_bytes_sent: Counter,
+    /// Messages delivered over cube links (`node/{id}/link/msgs_recv`).
+    pub link_msgs_recv: Counter,
+    /// Payload bytes delivered over cube links (`node/{id}/link/bytes_recv`).
+    pub link_bytes_recv: Counter,
     /// End-to-end inbound message latency in ns (`node/{id}/link/latency_ns`).
     pub link_latency_ns: Histogram,
     /// Flits retransmitted by outbound go-back-N recovery
@@ -170,6 +181,10 @@ impl NodeMeters {
             rows_moved: scope.counter("mem/rows_moved"),
             link_words_sent: scope.counter("link/words_sent"),
             link_words_recv: scope.counter("link/words_recv"),
+            link_msgs_sent: scope.counter("link/msgs_sent"),
+            link_bytes_sent: scope.counter("link/bytes_sent"),
+            link_msgs_recv: scope.counter("link/msgs_recv"),
+            link_bytes_recv: scope.counter("link/bytes_recv"),
             link_latency_ns: scope.histogram("link/latency_ns"),
             link_retransmits: scope.counter("link/retransmits"),
             link_crc_errors: scope.counter("link/crc_errors"),
@@ -183,6 +198,32 @@ impl NodeMeters {
     /// (router hop histograms, collective latencies).
     pub fn scope(&self) -> &MetricsScope {
         &self.scope
+    }
+
+    /// Add `n` to the cold counter `node/{id}/{name}`, registering it on
+    /// first use.
+    pub fn count(&self, name: &str, n: u64) {
+        self.scope.counter(name).add(n);
+    }
+
+    /// The meters a cube sublink transmitting from this node books into.
+    pub fn link_tx(&self) -> ts_link::TxMeters {
+        ts_link::TxMeters {
+            msgs: self.link_msgs_sent.clone(),
+            bytes: self.link_bytes_sent.clone(),
+            retransmits: self.link_retransmits.clone(),
+            crc_errors: self.link_crc_errors.clone(),
+            escalations: self.link_escalations.clone(),
+        }
+    }
+
+    /// The meters a cube sublink delivering to this node books into.
+    pub fn link_rx(&self) -> ts_link::RxMeters {
+        ts_link::RxMeters {
+            msgs: self.link_msgs_recv.clone(),
+            bytes: self.link_bytes_recv.clone(),
+            latency_ns: Some(self.link_latency_ns.clone()),
+        }
     }
 }
 
@@ -208,7 +249,6 @@ struct NodeShared {
     vec_res: Resource,
     /// The random-access memory port (CP + link DMA share it).
     port_res: Resource,
-    metrics: Metrics,
     meters: NodeMeters,
 }
 
@@ -245,7 +285,6 @@ impl Node {
                 cp_res: Resource::new("cp"),
                 vec_res: Resource::new("vec"),
                 port_res: Resource::new("port"),
-                metrics: Metrics::new(),
                 meters,
             }),
         }
@@ -379,11 +418,6 @@ impl Node {
         }
     }
 
-    /// This node's metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.shared.metrics
-    }
-
     /// This node's pre-registered unit meters.
     pub fn meters(&self) -> &NodeMeters {
         &self.shared.meters
@@ -503,11 +537,6 @@ impl NodeCtx {
     /// Current virtual time.
     pub fn now(&self) -> ts_sim::Time {
         self.node.h.now()
-    }
-
-    /// Node metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.node.shared.metrics
     }
 
     /// The node's pre-registered unit meters.

@@ -1,22 +1,25 @@
-//! Metrics: a typed, hierarchical registry plus a legacy flat bundle.
+//! Metrics: one typed, hierarchical registry and its read-only rollups.
 //!
-//! [`MetricsRegistry`] is the machine-wide store. Producers register a
-//! handle once — a [`Counter`], a [`BusyTime`] accumulator or a log₂-bucket
-//! [`Histogram`] — under a scoped path such as `node/3/vec/flops`, then
-//! bump the handle on the hot path with nothing but a `Cell` store: no map
-//! lookup, no allocation, no string. Consumers walk [`MetricsRegistry::snapshot`]
-//! (paths in natural order, so `node/2` precedes `node/10`) to build
-//! utilization reports.
+//! [`MetricsRegistry`] is the machine-wide store and the only place a
+//! machine counts anything. Producers register a handle once — a
+//! [`Counter`], a [`BusyTime`] accumulator or a log₂-bucket [`Histogram`]
+//! — under a scoped path such as `node/3/vec/flops`, then bump the handle
+//! on the hot path with nothing but a `Cell` store: no map lookup, no
+//! allocation, no string. Cold paths register on first use; registering
+//! an existing path returns the same cell.
 //!
-//! [`Metrics`] is the older flat `&'static str`-keyed bundle. It remains
-//! for cold-path counters (fault bookkeeping, router retries, supervisor
-//! accounting) and as the baseline the hot-path microbenchmark compares
-//! against; new per-unit accounting should use registry handles.
+//! Consumers read the registry back two ways. [`MetricsRegistry::snapshot`]
+//! lists every metric by path (natural order, so `node/2` precedes
+//! `node/10`). [`MetricsRegistry::rollup`] sums every counter and
+//! busy-time under a scope of numbered children into a [`Metrics`], an
+//! owned table keyed `unit.metric` (`node/3/link/bytes_sent` →
+//! `link.bytes_sent`) — the machine totals reports and kernel statistics
+//! read.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::ops::Bound;
 use std::rc::Rc;
 
 use crate::time::Dur;
@@ -387,6 +390,39 @@ impl MetricsRegistry {
             .sum()
     }
 
+    /// Sum every counter and busy-time registered as
+    /// `{scope}/{child}/{unit}/{metric}` over all children, keyed
+    /// `unit.metric` (every `/` after the child becomes `.`). Histograms
+    /// are skipped. One walk over the scope's paths, building each key in
+    /// a reused buffer, so the cost is one map step per metric.
+    pub fn rollup(&self, scope: &str) -> Metrics {
+        let out = Metrics::new();
+        let prefix = format!("{scope}/");
+        let mut key = String::new();
+        {
+            let mut counters = out.counters.borrow_mut();
+            let mut durations = out.durations.borrow_mut();
+            let map = self.inner.borrow();
+            let from = (Bound::Included(prefix.as_str()), Bound::Unbounded);
+            for (path, slot) in map.range::<str, _>(from) {
+                let Some(rest) = path.strip_prefix(&prefix) else {
+                    break;
+                };
+                let Some((_, name)) = rest.split_once('/') else {
+                    continue;
+                };
+                key.clear();
+                key.extend(name.chars().map(|c| if c == '/' { '.' } else { c }));
+                match slot {
+                    Slot::Counter(c) => add_to(&mut counters, &key, c.get(), |a, b| *a += b),
+                    Slot::Busy(b) => add_to(&mut durations, &key, b.get(), |a, b| *a += b),
+                    Slot::Hist(_) => {}
+                }
+            }
+        }
+        out
+    }
+
     /// Snapshot every metric, sorted by path in natural order (so
     /// `node/2/...` precedes `node/10/...`).
     pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
@@ -472,136 +508,79 @@ impl MetricsScope {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy flat bundle
+// Rollup
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct MetricsInner {
-    counters: BTreeMap<&'static str, Rc<Cell<u64>>>,
-    durations: BTreeMap<&'static str, Dur>,
+/// Add `v` to `map[key]`, allocating the key only when it is new.
+fn add_to<V: Copy>(map: &mut BTreeMap<String, V>, key: &str, v: V, plus: impl Fn(&mut V, V)) {
+    match map.get_mut(key) {
+        Some(slot) => plus(slot, v),
+        None => {
+            map.insert(key.to_string(), v);
+        }
+    }
 }
 
-/// Cloneable flat bundle of named counters (`u64`) and durations ([`Dur`]).
-///
-/// Keyed updates are a `BTreeMap` lookup each — fine for cold paths. Hot
-/// paths pre-register a [`Metrics::counter_cell`] handle once and bump the
-/// cell directly, or use [`Counter`]/[`BusyTime`] handles on a
-/// [`MetricsRegistry`].
-#[derive(Clone, Default)]
+/// An owned table of named counters (`u64`) and durations ([`Dur`]): the
+/// machine totals [`MetricsRegistry::rollup`] produces, merged across
+/// parallel shards and read by reports. Plain data, so it can cross a
+/// thread boundary; nothing on a hot path writes to it.
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    inner: Rc<RefCell<MetricsInner>>,
+    counters: RefCell<BTreeMap<String, u64>>,
+    durations: RefCell<BTreeMap<String, Dur>>,
 }
 
 impl Metrics {
-    /// Create an empty metrics bundle.
+    /// Create an empty table.
     pub fn new() -> Metrics {
         Metrics::default()
     }
 
     /// Add `n` to counter `key`.
-    pub fn add(&self, key: &'static str, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let c = inner.counters.entry(key).or_default();
-        c.set(c.get() + n);
+    pub fn add(&self, key: &str, n: u64) {
+        add_to(&mut self.counters.borrow_mut(), key, n, |a, b| *a += b);
     }
 
-    /// Shared cell behind counter `key`, registering it at zero if new.
-    /// Bumping the cell is equivalent to [`Metrics::add`] without the map
-    /// lookup — the handle for per-message hot paths. [`Metrics::clear`]
-    /// detaches outstanding cells.
-    pub fn counter_cell(&self, key: &'static str) -> Rc<Cell<u64>> {
-        self.inner
-            .borrow_mut()
-            .counters
-            .entry(key)
-            .or_default()
-            .clone()
+    /// Read counter `key` (0 if absent).
+    pub fn get(&self, key: &str) -> u64 {
+        self.counters.borrow().get(key).copied().unwrap_or(0)
     }
 
-    /// Increment counter `key` by one.
-    pub fn inc(&self, key: &'static str) {
-        self.add(key, 1);
+    /// Add `d` to duration `key`.
+    pub fn add_time(&self, key: &str, d: Dur) {
+        add_to(&mut self.durations.borrow_mut(), key, d, |a, b| *a += b);
     }
 
-    /// Read counter `key` (0 if never written).
-    pub fn get(&self, key: &'static str) -> u64 {
-        self.inner
+    /// Read duration `key` (zero if absent).
+    pub fn get_time(&self, key: &str) -> Dur {
+        self.durations
             .borrow()
-            .counters
-            .get(key)
-            .map(|c| c.get())
-            .unwrap_or(0)
-    }
-
-    /// Accumulate busy time under `key`.
-    pub fn add_time(&self, key: &'static str, d: Dur) {
-        let mut inner = self.inner.borrow_mut();
-        let slot = inner.durations.entry(key).or_insert(Dur::ZERO);
-        *slot += d;
-    }
-
-    /// Read accumulated time under `key`.
-    pub fn get_time(&self, key: &'static str) -> Dur {
-        self.inner
-            .borrow()
-            .durations
             .get(key)
             .copied()
             .unwrap_or(Dur::ZERO)
     }
 
-    /// Snapshot of all counters (sorted by key).
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.inner
-            .borrow()
-            .counters
-            .iter()
-            .map(|(k, v)| (*k, v.get()))
-            .collect()
+    /// All counters, sorted by key.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        let map = self.counters.borrow();
+        map.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
-    /// Snapshot of all durations (sorted by key).
-    pub fn durations(&self) -> Vec<(&'static str, Dur)> {
-        self.inner
-            .borrow()
-            .durations
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
+    /// All durations, sorted by key.
+    pub fn durations(&self) -> Vec<(String, Dur)> {
+        let map = self.durations.borrow();
+        map.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
-    /// Fold another bundle into this one (used to aggregate per-node metrics
-    /// into machine totals).
+    /// Fold another table into this one (used to merge per-shard totals).
     pub fn merge(&self, other: &Metrics) {
-        let o = other.inner.borrow();
-        let mut m = self.inner.borrow_mut();
-        for (k, v) in &o.counters {
-            let c = m.counters.entry(k).or_default();
-            c.set(c.get() + v.get());
+        for (k, v) in other.counters.borrow().iter() {
+            self.add(k, *v);
         }
-        for (k, d) in &o.durations {
-            let slot = m.durations.entry(k).or_insert(Dur::ZERO);
-            *slot += *d;
+        for (k, d) in other.durations.borrow().iter() {
+            self.add_time(k, *d);
         }
-    }
-
-    /// Reset everything to zero.
-    pub fn clear(&self) {
-        let mut m = self.inner.borrow_mut();
-        m.counters.clear();
-        m.durations.clear();
-    }
-}
-
-impl fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
-        let counters: BTreeMap<&'static str, u64> =
-            inner.counters.iter().map(|(k, v)| (*k, v.get())).collect();
-        f.debug_struct("Metrics")
-            .field("counters", &counters)
-            .field("durations", &inner.durations)
-            .finish()
     }
 }
 
@@ -612,7 +591,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.inc("flops");
+        m.add("flops", 1);
         m.add("flops", 9);
         assert_eq!(m.get("flops"), 10);
         assert_eq!(m.get("missing"), 0);
@@ -641,13 +620,25 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let m = Metrics::new();
-        m.inc("a");
-        m.add_time("b", Dur::ns(1));
-        m.clear();
-        assert_eq!(m.counters().len(), 0);
-        assert_eq!(m.durations().len(), 0);
+    fn rollup_sums_children_by_unit_and_metric() {
+        let reg = MetricsRegistry::new();
+        reg.counter("node/2/link/bytes_sent").add(40);
+        reg.counter("node/10/link/bytes_sent").add(2);
+        reg.counter("node/10/fault/link_down").inc();
+        reg.busy_time("node/3/vec/busy").add(Dur::ns(5));
+        reg.busy_time("node/4/vec/busy").add(Dur::ns(7));
+        reg.histogram("node/2/router/hops").observe(3);
+        reg.counter("job/0/preemptions").inc();
+        reg.counter("nodes/1/x").inc();
+        let m = reg.rollup("node");
+        assert_eq!(
+            m.counters(),
+            vec![
+                ("fault.link_down".to_string(), 1),
+                ("link.bytes_sent".to_string(), 42)
+            ]
+        );
+        assert_eq!(m.durations(), vec![("vec.busy".to_string(), Dur::ns(12))]);
     }
 
     #[test]
