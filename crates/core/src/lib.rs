@@ -845,9 +845,9 @@ impl LinkEngines {
         let l = (d % 4) as usize;
         let (a, b) = (&nodes[ai], &nodes[bi]);
         let mut ab = LinkChannel::new_pair(self.out[ai][l].clone(), self.inp[bi][l].clone());
-        ab.set_meters(a.meters().link_tx(), legacy_rx(a, b));
+        ab.set_meters(a.meters().link_tx(), b.meters().link_rx());
         let mut ba = LinkChannel::new_pair(self.out[bi][l].clone(), self.inp[ai][l].clone());
-        ba.set_meters(b.meters().link_tx(), legacy_rx(b, a));
+        ba.set_meters(b.meters().link_tx(), a.meters().link_rx());
         ba.set_status(ab.status().clone());
         a.wire_dim(d as usize, ab.clone(), ba.clone());
         b.wire_dim(d as usize, ba, ab);
@@ -884,15 +884,6 @@ impl LinkEngines {
             board_in,
             Disk::new(cfg.disk_rate),
         )
-    }
-}
-
-/// Receive meters in the historical attribution: message and byte counts
-/// on the transmitter `tx`, latency on the receiver `rx`.
-pub(crate) fn legacy_rx(tx: &Node, rx: &Node) -> ts_link::RxMeters {
-    ts_link::RxMeters {
-        latency_ns: Some(rx.meters().link_latency_ns.clone()),
-        ..tx.meters().link_rx()
     }
 }
 
@@ -1184,6 +1175,29 @@ mod tests {
         assert_eq!(m.metrics().get("fault.link_down"), 1);
         assert_eq!(m.metrics().get("fault.node_crash"), 1);
         assert_eq!(m.metrics().get("fault.mem_flip"), 1);
+    }
+
+    #[test]
+    fn link_traffic_books_on_the_sending_and_receiving_nodes() {
+        let mut m = Machine::build(MachineCfg::cube_small_mem(1, 8));
+        let (tx, rx) = (m.ctx(0), m.ctx(1));
+        m.launch_on(0, async move { tx.send_dim(0, vec![7; 10]).await });
+        m.launch_on(1, async move { rx.recv_dim(0).await });
+        assert!(m.run().quiescent);
+        let report = m.utilization_report();
+        let row = |id: &str| {
+            let line = report
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(id));
+            let cols: Vec<&str> = line.unwrap().split_whitespace().collect();
+            (cols[4].to_string(), cols[5].to_string())
+        };
+        assert_eq!(row("0"), ("40".into(), "0".into()), "{report}");
+        assert_eq!(row("1"), ("0".into(), "40".into()), "{report}");
+        let met = m.metrics();
+        assert_eq!(met.get("link.bytes_sent"), 40);
+        assert_eq!(met.get("link.bytes_recv"), 40);
+        assert_eq!(met.get("link.msgs_recv"), 1);
     }
 
     #[test]

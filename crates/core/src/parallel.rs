@@ -67,7 +67,7 @@ use ts_sim::{MetricsRegistry, Sim, Time};
 
 use crate::report::ReportData;
 use crate::system::SystemBoard;
-use crate::{legacy_rx, LinkEngines, Machine, MachineCfg};
+use crate::{LinkEngines, Machine, MachineCfg};
 
 /// Parallel-backend configuration.
 #[derive(Clone, Copy, Debug)]
@@ -569,7 +569,7 @@ fn build_shard(cfg: &MachineCfg, shard: u32, local_bits: u32) -> ShardMachine {
                 peer,
                 outbox.clone(),
             );
-            out.set_meters(node.meters().link_tx(), legacy_rx(node, node));
+            out.set_meters(node.meters().link_tx(), Default::default());
             // Inbound half: remote `b` transmits to `a` on edge (b,d).
             let mut inp = LinkChannel::new_boundary_rx(
                 engines.inp[li(a)][l].clone(),
@@ -577,11 +577,7 @@ fn build_shard(cfg: &MachineCfg, shard: u32, local_bits: u32) -> ShardMachine {
                 peer,
                 outbox.clone(),
             );
-            let rx = ts_link::RxMeters {
-                latency_ns: Some(node.meters().link_latency_ns.clone()),
-                ..Default::default()
-            };
-            inp.set_meters(Default::default(), rx);
+            inp.set_meters(Default::default(), node.meters().link_rx());
             channels.insert(edge_key(a, d), out.clone());
             channels.insert(edge_key(b, d), inp.clone());
             node.wire_dim(d as usize, out, inp);

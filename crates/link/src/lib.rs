@@ -941,7 +941,8 @@ impl LinkChannel {
 
     /// [`LinkChannel::recv`] over a shard boundary: wait for the `Data`
     /// leg, post `Request` with this engine's free watermark, park for the
-    /// `Grant`, book the receive half of the joint slot, and deliver at
+    /// `Grant`, book the receive half of the joint slot and the receiver's
+    /// meters, and deliver at
     /// `end` — the instant the sequential receiver would deliver.
     async fn boundary_recv(&self, h: &SimHandle) -> Vec<u32> {
         let b = self
@@ -976,11 +977,7 @@ impl LinkChannel {
         self.inner.rx_wire.book(bytes);
         self.inner.rx_wire.resource().apply_grant(start, end, dur);
         h.sleep_until(end).await;
-        // Receive counters are booked by the tx shard at Request time; here
-        // only the receiver's latency histogram observes.
-        if let Some(hist) = &self.inner.rx.latency_ns {
-            hist.observe(end.since(sent_at).as_ns());
-        }
+        self.book_recv(sent_at, end, bytes);
         words
     }
 
@@ -1019,9 +1016,6 @@ impl LinkChannel {
                 let end = start + dur;
                 self.inner.tx_wire.book(bytes as usize);
                 tx_res.apply_grant(start, end, dur);
-                // The sequential receiver books these into the tx half's
-                // receive counters; same attribution.
-                book(&self.inner.rx.msgs, &self.inner.rx.bytes, bytes as usize);
                 if let Some(done) = b.granted.borrow_mut().remove(&env.seq) {
                     done.send(end);
                 } else {
