@@ -393,34 +393,32 @@ impl MetricsRegistry {
     /// Sum every counter and busy-time registered as
     /// `{scope}/{child}/{unit}/{metric}` over all children, keyed
     /// `unit.metric` (every `/` after the child becomes `.`). Histograms
-    /// are skipped. One walk over the scope's paths, building each key in
-    /// a reused buffer, so the cost is one map step per metric.
+    /// are skipped. One walk over the scope's paths, summing under names
+    /// borrowed from the registry; each distinct key is built once.
     pub fn rollup(&self, scope: &str) -> Metrics {
-        let out = Metrics::new();
         let prefix = format!("{scope}/");
-        let mut key = String::new();
-        {
-            let mut counters = out.counters.borrow_mut();
-            let mut durations = out.durations.borrow_mut();
-            let map = self.inner.borrow();
-            let from = (Bound::Included(prefix.as_str()), Bound::Unbounded);
-            for (path, slot) in map.range::<str, _>(from) {
-                let Some(rest) = path.strip_prefix(&prefix) else {
-                    break;
-                };
-                let Some((_, name)) = rest.split_once('/') else {
-                    continue;
-                };
-                key.clear();
-                key.extend(name.chars().map(|c| if c == '/' { '.' } else { c }));
-                match slot {
-                    Slot::Counter(c) => add_to(&mut counters, &key, c.get(), |a, b| *a += b),
-                    Slot::Busy(b) => add_to(&mut durations, &key, b.get(), |a, b| *a += b),
-                    Slot::Hist(_) => {}
-                }
+        let map = self.inner.borrow();
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut durations: BTreeMap<&str, Dur> = BTreeMap::new();
+        let from = (Bound::Included(prefix.as_str()), Bound::Unbounded);
+        for (path, slot) in map.range::<str, _>(from) {
+            let Some(rest) = path.strip_prefix(&prefix) else {
+                break;
+            };
+            let Some((_, name)) = rest.split_once('/') else {
+                continue;
+            };
+            match slot {
+                Slot::Counter(c) => *counters.entry(name).or_default() += c.get(),
+                Slot::Busy(b) => *durations.entry(name).or_insert(Dur::ZERO) += b.get(),
+                Slot::Hist(_) => {}
             }
         }
-        out
+        let dotted = |k: &str| k.replace('/', ".");
+        Metrics {
+            counters: RefCell::new(counters.into_iter().map(|(k, v)| (dotted(k), v)).collect()),
+            durations: RefCell::new(durations.into_iter().map(|(k, d)| (dotted(k), d)).collect()),
+        }
     }
 
     /// Snapshot every metric, sorted by path in natural order (so
@@ -512,9 +510,9 @@ impl MetricsScope {
 // ---------------------------------------------------------------------------
 
 /// Add `v` to `map[key]`, allocating the key only when it is new.
-fn add_to<V: Copy>(map: &mut BTreeMap<String, V>, key: &str, v: V, plus: impl Fn(&mut V, V)) {
+fn add_to<V: Copy + std::ops::AddAssign>(map: &mut BTreeMap<String, V>, key: &str, v: V) {
     match map.get_mut(key) {
-        Some(slot) => plus(slot, v),
+        Some(slot) => *slot += v,
         None => {
             map.insert(key.to_string(), v);
         }
@@ -539,7 +537,7 @@ impl Metrics {
 
     /// Add `n` to counter `key`.
     pub fn add(&self, key: &str, n: u64) {
-        add_to(&mut self.counters.borrow_mut(), key, n, |a, b| *a += b);
+        add_to(&mut self.counters.borrow_mut(), key, n);
     }
 
     /// Read counter `key` (0 if absent).
@@ -549,7 +547,7 @@ impl Metrics {
 
     /// Add `d` to duration `key`.
     pub fn add_time(&self, key: &str, d: Dur) {
-        add_to(&mut self.durations.borrow_mut(), key, d, |a, b| *a += b);
+        add_to(&mut self.durations.borrow_mut(), key, d);
     }
 
     /// Read duration `key` (zero if absent).
