@@ -75,7 +75,7 @@ where
     let h: &SimHandle = ctx.handle();
     for attempt in 0..attempts.max(1) {
         if attempt > 0 {
-            ctx.meters().count("collective/retries", 1);
+            ctx.meters().scope().counter("collective/retries").inc();
         }
         let fut = Box::pin(op());
         match select2(fut, h.sleep(dur)).await {
@@ -83,7 +83,10 @@ where
             Either::Right(()) => {}
         }
     }
-    ctx.meters().count("collective/deadline_expired", 1);
+    ctx.meters()
+        .scope()
+        .counter("collective/deadline_expired")
+        .inc();
     Err(DeadlineExpired {
         attempts: attempts.max(1),
     })

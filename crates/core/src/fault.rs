@@ -155,29 +155,29 @@ impl FaultEvent {
         match *self {
             FaultEvent::LinkDown { dim, .. } => {
                 n.set_link_down(dim as usize);
-                n.meters().count("fault/link_down", 1);
+                n.meters().scope().counter("fault/link_down").inc();
             }
             FaultEvent::NodeCrash { .. } => {
                 n.crash();
-                n.meters().count("fault/node_crash", 1);
+                n.meters().scope().counter("fault/node_crash").inc();
             }
             FaultEvent::MemFlip { addr, bit, .. } => {
                 n.mem_mut()
                     .inject_bit_flip(addr, bit)
                     .expect("mem-flip address out of range");
-                n.meters().count("fault/mem_flip", 1);
+                n.meters().scope().counter("fault/mem_flip").inc();
             }
             FaultEvent::WireCorrupt { dim, flit_bit, .. } => {
                 n.queue_wire_corrupt(dim as usize, flit_bit);
-                n.meters().count("fault/wire_corrupt", 1);
+                n.meters().scope().counter("fault/wire_corrupt").inc();
             }
             FaultEvent::FlitDrop { dim, .. } => {
                 n.queue_flit_drop(dim as usize);
-                n.meters().count("fault/flit_drop", 1);
+                n.meters().scope().counter("fault/flit_drop").inc();
             }
             FaultEvent::LinkFlap { dim, down_for, .. } => {
                 n.flap_link(dim as usize, down_for);
-                n.meters().count("fault/link_flap", 1);
+                n.meters().scope().counter("fault/link_flap").inc();
             }
         }
     }

@@ -593,7 +593,8 @@ impl Machine {
                     mem.restore(&image);
                     drop(mem);
                     if latent > 0 {
-                        node.meters().count("fault/scrubbed_words", latent as u64);
+                        let scrubbed = node.meters().scope().counter("fault/scrubbed_words");
+                        scrubbed.add(latent as u64);
                     }
                 });
             }
@@ -732,13 +733,13 @@ impl Machine {
         store
             .commit(effective, bytes_streamed, bytes_full)
             .expect("commit with a fully staged store");
-        let met = self.nodes[0].meters();
+        let ckpt = self.nodes[0].meters().scope().scope("ckpt");
         match effective {
-            SnapshotMode::Full => met.count("ckpt/full", 1),
-            SnapshotMode::Delta => met.count("ckpt/delta", 1),
+            SnapshotMode::Full => ckpt.counter("full").inc(),
+            SnapshotMode::Delta => ckpt.counter("delta").inc(),
         }
-        met.count("ckpt/bytes_streamed", bytes_streamed);
-        met.count("ckpt/bytes_full_equiv", bytes_full);
+        ckpt.counter("bytes_streamed").add(bytes_streamed);
+        ckpt.counter("bytes_full_equiv").add(bytes_full);
         Ok(checkpoint::CheckpointStats {
             mode: effective,
             duration: self.sim.now().since(t0),
@@ -757,7 +758,8 @@ impl Machine {
         for n in &self.nodes {
             n.mem_mut().mark_all_dirty();
         }
-        self.nodes[0].meters().count("ckpt/torn_aborts", 1);
+        let torn = self.nodes[0].meters().scope().counter("ckpt/torn_aborts");
+        torn.inc();
     }
 
     /// Restore every node's memory from the store's committed version (the
@@ -900,7 +902,7 @@ impl FaultInjector<'_> {
     pub fn link_down(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.set_link_down(dim as usize);
-        n.meters().count("fault/link_down", 1);
+        n.meters().scope().counter("fault/link_down").inc();
     }
 
     /// Repair the physical link carrying cube dimension `dim` at `node`
@@ -909,7 +911,7 @@ impl FaultInjector<'_> {
     pub fn link_up(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.set_link_up(dim as usize);
-        n.meters().count("fault/link_repair", 1);
+        n.meters().scope().counter("fault/link_repair").inc();
     }
 
     /// Crash `node`: its control processor is dead and every wired link
@@ -917,7 +919,7 @@ impl FaultInjector<'_> {
     pub fn crash(&self, node: NodeId) {
         let n = &self.m.nodes[node as usize];
         n.crash();
-        n.meters().count("fault/node_crash", 1);
+        n.meters().scope().counter("fault/node_crash").inc();
     }
 
     /// Flip `bit` of the word at `addr` in `node`'s memory without fixing
@@ -927,7 +929,7 @@ impl FaultInjector<'_> {
         n.mem_mut()
             .inject_bit_flip(addr, bit)
             .expect("mem-flip address out of range");
-        n.meters().count("fault/mem_flip", 1);
+        n.meters().scope().counter("fault/mem_flip").inc();
     }
 
     /// True while the physical link on `(node, dim)` is alive.
@@ -941,7 +943,7 @@ impl FaultInjector<'_> {
     pub fn wire_corrupt(&self, node: NodeId, dim: u32, flit_bit: u64) {
         let n = &self.m.nodes[node as usize];
         n.queue_wire_corrupt(dim as usize, flit_bit);
-        n.meters().count("fault/wire_corrupt", 1);
+        n.meters().scope().counter("fault/wire_corrupt").inc();
     }
 
     /// Queue a transient flit loss on `node`'s next outbound message on
@@ -949,7 +951,7 @@ impl FaultInjector<'_> {
     pub fn flit_drop(&self, node: NodeId, dim: u32) {
         let n = &self.m.nodes[node as usize];
         n.queue_flit_drop(dim as usize);
-        n.meters().count("fault/flit_drop", 1);
+        n.meters().scope().counter("fault/flit_drop").inc();
     }
 
     /// Flap the link on `(node, dim)`: down now, self-healing after
@@ -958,7 +960,7 @@ impl FaultInjector<'_> {
     pub fn link_flap(&self, node: NodeId, dim: u32, down_for: ts_sim::Dur) {
         let n = &self.m.nodes[node as usize];
         n.flap_link(dim as usize, down_for);
-        n.meters().count("fault/link_flap", 1);
+        n.meters().scope().counter("fault/link_flap").inc();
     }
 
     /// Fault `module`'s disk controller: transfers in flight (and any
@@ -966,15 +968,15 @@ impl FaultInjector<'_> {
     /// aborts. Heals with [`FaultInjector::disk_heal`] or a reboot.
     pub fn disk_fault(&self, module: usize) {
         self.m.boards[module].disk.fail();
-        self.m.nodes[module * 8].meters().count("fault/disk", 1);
+        let n = &self.m.nodes[module * 8];
+        n.meters().scope().counter("fault/disk").inc();
     }
 
     /// Repair `module`'s disk controller.
     pub fn disk_heal(&self, module: usize) {
         self.m.boards[module].disk.heal();
-        self.m.nodes[module * 8]
-            .meters()
-            .count("fault/disk_repair", 1);
+        let n = &self.m.nodes[module * 8];
+        n.meters().scope().counter("fault/disk_repair").inc();
     }
 
     /// Flap `module`'s outbound system-ring link: down now, self-healing
@@ -991,9 +993,8 @@ impl FaultInjector<'_> {
             h.sleep(down_for).await;
             status.set_up();
         });
-        self.m.nodes[module * 8]
-            .meters()
-            .count("fault/ring_flap", 1);
+        let n = &self.m.nodes[module * 8];
+        n.meters().scope().counter("fault/ring_flap").inc();
     }
 }
 
@@ -1145,7 +1146,7 @@ mod tests {
         assert!(m.run().quiescent);
         assert_eq!(m.registry().get_counter("node/3/cp/instrs"), Some(100));
         assert_eq!(m.registry().sum_counters("cp/instrs"), 800);
-        // The legacy bridge folds meter totals under the flat keys.
+        // The rollup sums every node's meter under `unit.metric`.
         assert_eq!(m.metrics().get("cp.instrs"), 800);
     }
 

@@ -426,11 +426,11 @@ where
         match *f {
             PlannedFault::WireCorrupt { dim, flit_bit, .. } => {
                 n.queue_wire_corrupt(dim as usize, flit_bit);
-                n.meters().count("fault/wire_corrupt", 1);
+                n.meters().scope().counter("fault/wire_corrupt").inc();
             }
             PlannedFault::FlitDrop { dim, .. } => {
                 n.queue_flit_drop(dim as usize);
-                n.meters().count("fault/flit_drop", 1);
+                n.meters().scope().counter("fault/flit_drop").inc();
             }
         }
     }

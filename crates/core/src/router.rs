@@ -350,7 +350,7 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
                         d
                     }
                     _ => {
-                        ctx.meters().count("router/dropped", 1);
+                        ctx.meters().scope().counter("router/dropped").inc();
                         ts_sim::pool::put_words(frame);
                         return;
                     }
@@ -358,7 +358,7 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
             }
         };
         if d != ecube {
-            ctx.meters().count("router/reroutes", 1);
+            ctx.meters().scope().counter("router/reroutes").inc();
         }
         // Count the hop in the (pooled) copy we send; a failed attempt
         // retries from the original frame without inflating the count.
@@ -373,12 +373,12 @@ async fn forward_frame(ctx: NodeCtx, table: Rc<RouteTable>, mut frame: Vec<u32>)
             }
             ts_sim::Either::Left(Err(_)) => {
                 // The link died under us: pick again.
-                ctx.meters().count("router/retries", 1);
+                ctx.meters().scope().counter("router/retries").inc();
             }
             ts_sim::Either::Right(()) => {
                 // Nobody took the frame within the deadline — the next
                 // daemon is gone. Abandon rather than park forever.
-                ctx.meters().count("router/dropped", 1);
+                ctx.meters().scope().counter("router/dropped").inc();
                 ts_sim::pool::put_words(frame);
                 return;
             }

@@ -383,19 +383,16 @@ impl Supervisor {
         report.total = job(base, &m, mark);
         // Book the supervisor's own accounting into the machine's metrics
         // so `Machine::utilization_report` can show the recovery story.
-        let meters = m.nodes[0].meters();
-        meters.count("supervisor/reboots", report.reboots as u64);
-        meters.count("supervisor/snapshots", report.snapshots as u64);
-        meters.count("supervisor/delta_snapshots", report.delta_snapshots as u64);
-        meters.count(
-            "supervisor/torn_checkpoints",
-            report.torn_checkpoints as u64,
-        );
-        meters.count("supervisor/watchdog_trips", report.watchdog_trips as u64);
-        meters
-            .scope()
-            .busy_time("supervisor/rework")
-            .add(report.rework);
+        let sup = m.nodes[0].meters().scope().scope("supervisor");
+        sup.counter("reboots").add(report.reboots as u64);
+        sup.counter("snapshots").add(report.snapshots as u64);
+        sup.counter("delta_snapshots")
+            .add(report.delta_snapshots as u64);
+        sup.counter("torn_checkpoints")
+            .add(report.torn_checkpoints as u64);
+        sup.counter("watchdog_trips")
+            .add(report.watchdog_trips as u64);
+        sup.busy_time("rework").add(report.rework);
         Ok((m, report))
     }
 }

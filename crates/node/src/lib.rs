@@ -117,7 +117,7 @@ struct NodeState {
 /// so an update is a single cell store: no map lookup, no string, no
 /// allocation. Cold bookkeeping (faults, router detours, collective
 /// retries, checkpoint and supervisor tallies) registers on first use
-/// through [`NodeMeters::count`] or [`NodeMeters::scope`].
+/// through [`NodeMeters::scope`].
 #[derive(Clone)]
 pub struct NodeMeters {
     scope: MetricsScope,
@@ -198,12 +198,6 @@ impl NodeMeters {
     /// (router hop histograms, collective latencies).
     pub fn scope(&self) -> &MetricsScope {
         &self.scope
-    }
-
-    /// Add `n` to the cold counter `node/{id}/{name}`, registering it on
-    /// first use.
-    pub fn count(&self, name: &str, n: u64) {
-        self.scope.counter(name).add(n);
     }
 
     /// The meters a cube sublink transmitting from this node books into.
