@@ -396,16 +396,14 @@ impl MetricsRegistry {
     /// are skipped. One walk over the scope's paths, summing under names
     /// borrowed from the registry; each distinct key is built once.
     pub fn rollup(&self, scope: &str) -> Metrics {
-        let prefix = format!("{scope}/");
+        // Every path starting `{scope}/` sorts below `{scope}0`.
+        let (lo, hi) = (format!("{scope}/"), format!("{scope}0"));
         let map = self.inner.borrow();
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
         let mut durations: BTreeMap<&str, Dur> = BTreeMap::new();
-        let from = (Bound::Included(prefix.as_str()), Bound::Unbounded);
-        for (path, slot) in map.range::<str, _>(from) {
-            let Some(rest) = path.strip_prefix(&prefix) else {
-                break;
-            };
-            let Some((_, name)) = rest.split_once('/') else {
+        let paths = (Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str()));
+        for (path, slot) in map.range::<str, _>(paths) {
+            let Some((_, name)) = path[lo.len()..].split_once('/') else {
                 continue;
             };
             match slot {
