@@ -704,12 +704,6 @@ pub struct RxMeters {
     pub latency_ns: Option<Histogram>,
 }
 
-/// Book one message of `bytes` payload bytes into a `(msgs, bytes)` pair.
-fn book(msgs: &Counter, bytes_meter: &Counter, bytes: usize) {
-    msgs.inc();
-    bytes_meter.add(bytes as u64);
-}
-
 /// Shared state of one sublink. Everything — both endpoints and every clone
 /// they hand out — refers to a single `ChanInner` behind one `Rc`, so
 /// cloning a channel on the hot path is one refcount bump, not a field-by-
@@ -829,7 +823,8 @@ impl LinkChannel {
     /// arrow.
     fn book_recv(&self, sent_at: Time, end: Time, bytes: usize) {
         let rx = &self.inner.rx;
-        book(&rx.msgs, &rx.bytes, bytes);
+        rx.msgs.inc();
+        rx.bytes.add(bytes as u64);
         if let Some(hist) = &rx.latency_ns {
             hist.observe(end.since(sent_at).as_ns());
         }
@@ -840,7 +835,8 @@ impl LinkChannel {
 
     /// Send-side accounting, booked when the sender commits.
     fn book_sent(&self, bytes: usize) {
-        book(&self.inner.tx.msgs, &self.inner.tx.bytes, bytes);
+        self.inner.tx.msgs.inc();
+        self.inner.tx.bytes.add(bytes as u64);
     }
 
     /// The shared health flag of the physical link under this sublink.
@@ -942,8 +938,8 @@ impl LinkChannel {
     /// [`LinkChannel::recv`] over a shard boundary: wait for the `Data`
     /// leg, post `Request` with this engine's free watermark, park for the
     /// `Grant`, book the receive half of the joint slot and the receiver's
-    /// meters, and deliver at
-    /// `end` — the instant the sequential receiver would deliver.
+    /// meters, and deliver at `end` — the instant the sequential receiver
+    /// would deliver.
     async fn boundary_recv(&self, h: &SimHandle) -> Vec<u32> {
         let b = self
             .inner
